@@ -7,7 +7,7 @@ All values are immutable; every function here is pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Coordinates must fit comfortably in machine words; sums (polynomial
 # coefficients, statistics) are plain Python ints and may grow freely.
@@ -190,6 +190,42 @@ def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
         else:
             parts[row - 1] = col
     return Partition(parts)
+
+
+def semistandard_fillings(
+    shape: Partition, n_letters: int, content: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All row-weak, column-strict fillings of shape with letters
+    1..n_letters, rows bottom-first, in lexicographic order of the cells
+    read bottom row first.  With content, letter i is used exactly
+    content[i-1] times."""
+    cells = list(shape.cells())
+    grid = [[0] * part for part in shape]
+    # Without a content constraint, no letter can run out.
+    remaining = [len(cells)] * n_letters if content is None else list(content)
+    pos = 0
+    while pos >= 0:
+        if pos == len(cells):
+            yield tuple(tuple(row) for row in grid)
+            pos -= 1
+            continue
+        i, j = cells[pos]
+        row = grid[i - 1]
+        x = row[j - 1]
+        if x:  # back from the next cell: try the next letter here
+            remaining[x - 1] += 1
+            x += 1
+        else:
+            x = max(row[j - 2] if j > 1 else 1, grid[i - 2][j - 1] + 1 if i > 1 else 1)
+        while x <= n_letters and not remaining[x - 1]:
+            x += 1
+        if x <= n_letters:
+            row[j - 1] = x
+            remaining[x - 1] -= 1
+            pos += 1
+        else:
+            row[j - 1] = 0
+            pos -= 1
 
 
 def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:

@@ -17,12 +17,13 @@ from typing import Iterable, Iterator, Sequence
 from .cores import (
     Cell,
     Partition,
-    addable_corners,
+    add_residue_class,
     hook_length,
     k_bounded_hooks,
     enumerate_cores,
     partition_sort_key,
     residue,
+    semistandard_fillings,
 )
 
 logger = logging.getLogger(__name__)
@@ -269,54 +270,42 @@ def highest_occurrence(seq: StandardSequence, letter: int) -> Cell:
 
 
 def _tableau_sort_key(tab: KTableau) -> tuple:
-    return (partition_sort_key(tab.shape), tab.reading_word())
+    # Tableaux of one shape have equal row lengths, so comparing the rows
+    # orders them exactly as their bottom-to-top reading words.
+    return (partition_sort_key(tab.shape), tab.rows)
 
 
-def _weak_cover(shape: Partition, n: int, res: int) -> tuple[Partition, list[Cell]] | None:
-    """Fill every addable corner of one residue; None if there is none."""
-    corners = [c for c, r in addable_corners(shape, n) if r == res]
-    if not corners:
-        return None
-    parts = list(shape)
-    for cell in corners:
-        if cell.row > len(parts):
-            parts.append(cell.col)
-        else:
-            parts[cell.row - 1] = cell.col
-    return Partition(parts), corners
+def _weak_strips(shape: Partition, n: int, residues: tuple[int, ...]) -> list[Partition]:
+    """The horizontal-strip extension of shape spanning exactly the given
+    residues (fewer than n of them), as a list of at most one shape.
 
-
-def _weak_strips(
-    shape: Partition, n: int, residues: tuple[int, ...]
-) -> list[tuple[Partition, frozenset[Cell]]]:
-    """All horizontal-strip extensions of shape spanning exactly the given
-    residues, each built as a sequence of single-residue cover fillings.
-
-    Covers of distinct residues need not commute, so every order is tried;
-    results are deduplicated by the set of added cells.
+    By the k-bounded Pieri rule the strip is the action of the cyclically
+    ordered word of the residue set: each maximal run r, r+1, ... of
+    consecutive residues mod n is filled in increasing order, one residue
+    class at a time.  Runs are separated by gaps, so they commute.
     """
-    results: dict[frozenset[Cell], Partition] = {}
+    chosen = set(residues)
+    grown = shape
+    for start in sorted(chosen):
+        if (start - 1) % n in chosen:
+            continue  # not the first residue of its run
+        res = start
+        while res in chosen:
+            grown = add_residue_class(grown, n, res)
+            if grown is None:
+                return []
+            res = (res + 1) % n
+    # The added cells must lie in distinct columns.
+    if len(grown) > len(shape) + 1 or any(b > a for a, b in zip(shape, grown[1:])):
+        return []
+    return [grown]
 
-    def step(cur: Partition, remaining: frozenset[int], added: list[Cell]) -> None:
-        if not remaining:
-            cols = [c.col for c in added]
-            if len(cols) == len(set(cols)):
-                results[frozenset(added)] = cur
-            return
-        for res in remaining:
-            grown = _weak_cover(cur, n, res)
-            if grown is not None:
-                step(grown[0], remaining - {res}, added + grown[1])
 
-    step(shape, frozenset(residues), [])
-    return [(shape_, cells) for cells, shape_ in results.items()]
-
-
-def _extend_rows(rows: tuple[tuple[int, ...], ...], shape: Partition, letter: int) -> list[list[int]]:
-    grown = [list(r) for r in rows] + [[] for _ in range(len(shape) - len(rows))]
-    for i, part in enumerate(shape):
-        grown[i].extend([letter] * (part - len(grown[i])))
-    return grown
+def _extend_rows(
+    rows: tuple[tuple[int, ...], ...], shape: Partition, letter: int
+) -> tuple[tuple[int, ...], ...]:
+    padded = rows + ((),) * (len(shape) - len(rows))
+    return tuple(row + (letter,) * (part - len(row)) for row, part in zip(padded, shape))
 
 
 def _enumerate_fast(
@@ -324,45 +313,21 @@ def _enumerate_fast(
 ) -> list[KTableau]:
     n = k + 1
     found: list[KTableau] = []
-
-    def grow(shape: Partition, rows: tuple[tuple[int, ...], ...], idx: int) -> None:
+    stack: list[tuple[Partition, tuple[tuple[int, ...], ...], int]] = [(Partition(), (), 0)]
+    while stack:
+        shape, rows, idx = stack.pop()
         if idx == len(weight):
             if target is None or shape == target:
                 found.append(KTableau(k, rows))
-            return
+            continue
         for chosen in combinations(range(n), weight[idx]):
-            for new_shape, added in _weak_strips(shape, n, chosen):
-                if target is not None and any(not target.contains(c) for c in added):
+            for grown in _weak_strips(shape, n, chosen):
+                if target is not None and (
+                    len(grown) > len(target) or any(a > b for a, b in zip(grown, target))
+                ):
                     continue
-                grow(
-                    new_shape,
-                    tuple(tuple(r) for r in _extend_rows(rows, new_shape, idx + 1)),
-                    idx + 1,
-                )
-
-    grow(Partition(), (), 0)
+                stack.append((grown, _extend_rows(rows, grown, idx + 1), idx + 1))
     return found
-
-
-def _fillings(shape: Partition, n_letters: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All row-weak / column-strict fillings of shape with letters 1..n_letters."""
-    cells = list(shape.cells())
-    grid = [[0] * part for part in shape]
-
-    def fill(pos: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if pos == len(cells):
-            yield tuple(tuple(row) for row in grid)
-            return
-        i, j = cells[pos]
-        lo = grid[i - 1][j - 2] if j > 1 else 1
-        below = grid[i - 2][j - 1] if i > 1 else 0
-        lo = max(lo, below + 1)
-        for x in range(lo, n_letters + 1):
-            grid[i - 1][j - 1] = x
-            yield from fill(pos + 1)
-        grid[i - 1][j - 1] = 0
-
-    yield from fill(0)
 
 
 def _enumerate_oracle(
@@ -375,7 +340,7 @@ def _enumerate_oracle(
         shapes = [s for s in shapes if s == target]
     found = []
     for shape in shapes:
-        for rows in _fillings(shape, len(weight)):
+        for rows in semistandard_fillings(shape, len(weight)):
             tab = KTableau(k, rows)
             if tab.weight == tuple(weight) and validate(tab, weight).ok:
                 found.append(tab)
@@ -394,9 +359,11 @@ def enumerate_k_tableaux(
     is in canonical order: by shape (size, then reverse-lexicographic),
     then by bottom-to-top left-to-right reading word.
 
-    Strategies: "fast" grows the tableau letter by letter through residue
-    closures; "oracle" brute-forces all fillings of all candidate core
-    shapes and filters by `validate`.  Both return identical sets.
+    Strategies: "fast" grows the tableau letter by letter, adding for each
+    residue set of the letter's size the one weak strip that the k-bounded
+    Pieri rule allows (see `_weak_strips`); "oracle" brute-forces all
+    fillings of all candidate core shapes and filters by `validate`.  Both
+    return identical sets.
     """
     weight = tuple(int(a) for a in weight)
     if any(a < 1 for a in weight):

@@ -24,6 +24,7 @@ from .cores import (
     partition_sort_key,
     partitions,
     residue,
+    semistandard_fillings,
 )
 from .ktableaux import (
     KTableau,
@@ -405,29 +406,7 @@ def enumerate_ssyt(
     weight = tuple(int(a) for a in weight)
     if sum(weight) != shape.size():
         return []
-    remaining = list(weight)
-    grid = [[0] * part for part in shape]
-    cells = list(shape.cells())
-    found: list[tuple[tuple[int, ...], ...]] = []
-
-    def fill(pos: int) -> None:
-        if pos == len(cells):
-            found.append(tuple(tuple(row) for row in grid))
-            return
-        i, j = cells[pos]
-        lo = grid[i - 1][j - 2] if j > 1 else 1
-        lo = max(lo, (grid[i - 2][j - 1] if i > 1 else 0) + 1)
-        for x in range(lo, len(weight) + 1):
-            if remaining[x - 1] == 0:
-                continue
-            remaining[x - 1] -= 1
-            grid[i - 1][j - 1] = x
-            fill(pos + 1)
-            grid[i - 1][j - 1] = 0
-            remaining[x - 1] += 1
-
-    fill(0)
-    return found
+    return list(semistandard_fillings(shape, len(weight), weight))
 
 
 def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:

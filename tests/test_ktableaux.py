@@ -1,9 +1,22 @@
+import gc
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from kcharge.cores import Cell, Partition, is_n_core, partition_sort_key, partitions, residue
+from kcharge.cores import (
+    Cell,
+    Partition,
+    add_residue_class,
+    enumerate_cores,
+    is_n_core,
+    partition_sort_key,
+    partitions,
+    residue,
+)
 from kcharge.ktableaux import (
     KTableau,
+    _weak_strips,
     enumerate_k_tableaux,
     highest_occurrence,
     lowest_occurrence,
@@ -199,6 +212,45 @@ def test_enumeration_is_canonically_ordered():
     tabs = enumerate_k_tableaux(3, (1, 1, 1, 1))
     keys = [(partition_sort_key(t.shape), t.reading_word()) for t in tabs]
     assert keys == sorted(keys)
+
+
+def literal_weak_strips(shape, n, residues):
+    """Every order of the residues, one residue class at a time; keeps the
+    distinct results whose added cells lie in distinct columns."""
+    found = set()
+    for order in permutations(residues):
+        grown = shape
+        for res in order:
+            grown = add_residue_class(grown, n, res)
+            if grown is None:
+                break
+        else:
+            added = set(grown.cells()) - set(shape.cells())
+            if len({c.col for c in added}) == len(added):
+                found.add(grown)
+    return found
+
+
+def test_weak_strips_equal_literal_search():
+    pairs = 0
+    for k in range(1, 6):
+        n = k + 1
+        for core in enumerate_cores(n, 8):
+            for size in range(1, k + 1):
+                for residues in combinations(range(n), size):
+                    strips = _weak_strips(core, n, residues)
+                    assert len(strips) == len(set(strips)) <= 1
+                    assert set(strips) == literal_weak_strips(core, n, residues), (
+                        k, tuple(core), residues,
+                    )
+                    pairs += 1
+    assert pairs == 6052
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    gc.collect()
+    assert enumerate_k_tableaux(4, (4,) + (1,) * 10)
+    assert gc.collect() == 0
 
 
 def test_enumerated_tableaux_validate_and_restrict_to_cores():
