@@ -18,8 +18,6 @@ from .ktableaux import (
 )
 from .statistics import (
     charge_table,
-    k_charge,
-    k_cocharge,
     kostka_foulkes_table,
     sequence_reports,
 )
@@ -107,7 +105,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _read_tableau(source: str):
-    raw = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            raw = fh.read()
     stripped = raw.lstrip()
     if stripped.startswith("{"):
         return parse_json_dict(json.loads(raw))
@@ -124,8 +126,14 @@ def _stat_payload(tab) -> dict:
         "weight": list(mu),
         "n_weight": n_stat(mu),
         "interior": interior,
-        "k_charge": {"lp": k_charge(tab, "lp"), "morse": k_charge(tab, "morse")},
-        "k_cocharge": {"lp": k_cocharge(tab, "lp"), "morse": k_cocharge(tab, "morse")},
+        "k_charge": {
+            "lp": sum(r.charge_lp() for r in reports),
+            "morse": sum(r.charge_morse() for r in reports),
+        },
+        "k_cocharge": {
+            "lp": sum(r.cocharge_lp() for r in reports),
+            "morse": sum(r.cocharge_morse() for r in reports),
+        },
         "sequences": [
             {
                 "letters": list(r.letters),

@@ -108,16 +108,22 @@ def hook_length(shape: Partition, cell: Cell) -> int:
     return arm + leg + 1
 
 
-def is_n_core(shape: Partition, n: int) -> bool:
-    """True iff no cell of the shape has hook length exactly n."""
-    if n < 2:
-        raise ValueError(f"core modulus must be at least 2, got {n}")
+def cell_with_hook(shape: Partition, n: int) -> Cell | None:
+    """The first cell, bottom row first and left to right within a row,
+    whose hook length is exactly n; None if there is none."""
     conj = shape.conjugate()
     for i, part in enumerate(shape, start=1):
         for j in range(1, part + 1):
             if (part - j) + (conj[j - 1] - i) + 1 == n:
-                return False
-    return True
+                return Cell(i, j)
+    return None
+
+
+def is_n_core(shape: Partition, n: int) -> bool:
+    """True iff no cell of the shape has hook length exactly n."""
+    if n < 2:
+        raise ValueError(f"core modulus must be at least 2, got {n}")
+    return cell_with_hook(shape, n) is None
 
 
 def residue(cell: Cell, n: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,7 +19,7 @@ from .cores import (
     Cell,
     Partition,
     add_residue_class,
-    hook_length,
+    cell_with_hook,
     k_bounded_hooks,
     enumerate_cores,
     partition_sort_key,
@@ -29,26 +30,45 @@ from .cores import (
 logger = logging.getLogger(__name__)
 
 
+def _strict_int(value: object, what: str) -> int:
+    """value as an int, refusing bools and anything that is not an integer
+    (floats, strings), which int() would silently coerce."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class KTableau:
     """A letter-filled (k+1)-core shape, rows bottom-first.
 
     Construction only checks that the rows form a partition shape and the
     letters are positive integers; use `validate` for the full k-tableau
     conditions, so that candidate fillings can be built and then rejected.
+    `k` and the letters must be integers: bools, floats and strings are
+    rejected rather than coerced.
     """
 
-    __slots__ = ("k", "rows", "shape")
+    # _by_letter is the letter -> cells index, built on first use; it is
+    # derived from rows, so equality and hashing ignore it.
+    __slots__ = ("k", "rows", "shape", "_by_letter")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
-        if k < 1:
+        self.k = _strict_int(k, "k")
+        if self.k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        self.k = int(k)
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = tuple(
+            tuple(x if type(x) is int else _strict_int(x, "letter") for x in row)
+            for row in rows
+        )
         for row in self.rows:
             for x in row:
                 if x < 1:
                     raise ValueError(f"letters must be positive, got {x}")
         self.shape = Partition(len(row) for row in self.rows)
+        self._by_letter: dict[int, tuple[Cell, ...]] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -63,9 +83,19 @@ class KTableau:
     def __repr__(self) -> str:
         return f"KTableau(k={self.k}, rows={[list(r) for r in self.rows]})"
 
+    def _letter_index(self) -> dict[int, tuple[Cell, ...]]:
+        """letter -> its cells, bottom row first and left to right."""
+        if self._by_letter is None:
+            index: dict[int, list[Cell]] = {}
+            for i, row in enumerate(self.rows, start=1):
+                for j, x in enumerate(row, start=1):
+                    index.setdefault(x, []).append(Cell(i, j))
+            self._by_letter = {x: tuple(cells) for x, cells in index.items()}
+        return self._by_letter
+
     @property
     def n_letters(self) -> int:
-        return max((x for row in self.rows for x in row), default=0)
+        return max(self._letter_index(), default=0)
 
     @property
     def weight(self) -> tuple[int, ...]:
@@ -83,16 +113,11 @@ class KTableau:
         return self.shape.cells()
 
     def cells_of(self, letter: int) -> tuple[Cell, ...]:
-        return tuple(
-            Cell(i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, x in enumerate(row, start=1)
-            if x == letter
-        )
+        return self._letter_index().get(letter, ())
 
     def residues_of(self, letter: int) -> frozenset[int]:
         n = self.k + 1
-        return frozenset(residue(c, n) for c in self.cells_of(letter))
+        return frozenset(residue(c, n) for c in self._letter_index().get(letter, ()))
 
     def reading_word(self) -> tuple[int, ...]:
         """Letters read bottom-to-top, left-to-right; used for canonical order."""
@@ -131,10 +156,10 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     and only its total is checked against the k-bounded hook count.
     """
     n = tab.k + 1
+    cell = cell_with_hook(tab.shape, n)
+    if cell is not None:
+        return ValidationReport(False, f"shape {tab.shape} is not a {n}-core", cell)
     conj = tab.shape.conjugate()
-    for cell in tab.cells():
-        if hook_length(tab.shape, cell) == n:
-            return ValidationReport(False, f"shape {tab.shape} is not a {n}-core", cell)
     for i, row in enumerate(tab.rows, start=1):
         for j in range(1, len(row)):
             if row[j] < row[j - 1]:
@@ -145,12 +170,15 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
                 return ValidationReport(
                     False, "column fails to increase bottom-to-top", Cell(i + 1, j)
                 )
+    by_letter = tab._letter_index()
     r = tab.n_letters
+    total = 0
     for letter in range(1, r + 1):
-        cells = tab.cells_of(letter)
+        cells = by_letter.get(letter)
         if not cells:
             return ValidationReport(False, f"letter {letter} is missing", None)
-        spanned = len(tab.residues_of(letter))
+        spanned = len({residue(c, n) for c in cells})
+        total += spanned
         if spanned > tab.k:
             return ValidationReport(
                 False, f"letter {letter} spans {spanned} residues > k={tab.k}", cells[0]
@@ -165,7 +193,6 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
                 )
     if weight is not None and r != len(weight):
         return ValidationReport(False, f"{r} letters, expected {len(weight)}", None)
-    total = sum(len(tab.residues_of(i)) for i in range(1, r + 1))
     hooks = k_bounded_hooks(tab.shape, tab.k)
     if total != hooks:
         return ValidationReport(
@@ -211,19 +238,19 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     consists of all cells carrying that letter and residue.
     """
     n = tab.k + 1
-    weight = tab.weight
+    by_letter = tab._letter_index()
+    groups: list[dict[int, frozenset[Cell]]] = []
+    for letter in range(1, tab.n_letters + 1):
+        by_res: dict[int, list[Cell]] = {}
+        for cell in by_letter.get(letter, ()):
+            by_res.setdefault(residue(cell, n), []).append(cell)
+        groups.append({r: frozenset(cs) for r, cs in by_res.items()})
+    weight = tuple(len(g) for g in groups)
     for a, b in zip(weight, weight[1:]):
         if a < b:
             raise ValueError(f"weight {weight} is not a partition")
     if any(part > tab.k for part in weight):
         raise ValueError(f"weight {weight} has a part exceeding k={tab.k}")
-
-    groups: list[dict[int, frozenset[Cell]]] = []
-    for letter in range(1, tab.n_letters + 1):
-        by_res: dict[int, set[Cell]] = {}
-        for cell in tab.cells_of(letter):
-            by_res.setdefault(residue(cell, n), set()).add(cell)
-        groups.append({r: frozenset(cs) for r, cs in by_res.items()})
 
     unused = [set(g) for g in groups]
     sequences: list[StandardSequence] = []
@@ -435,6 +462,8 @@ def to_json_dict(tab: KTableau) -> dict:
 
 
 def parse_json_dict(data: dict) -> KTableau:
+    """Inverse of `to_json_dict`.  `k`, the letters and the optional shape
+    entries must be JSON integers; anything else raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     try:
@@ -443,10 +472,12 @@ def parse_json_dict(data: dict) -> KTableau:
         raise ValueError(f"missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed tableau fields: {exc}") from None
-    if list(tab.shape) != list(data.get("shape", tab.shape)):
-        raise ValueError(
-            f"shape field {data['shape']} disagrees with rows {list(tab.shape)}"
-        )
+    if "shape" in data:
+        shape = data["shape"]
+        if not isinstance(shape, list):
+            raise ValueError(f"shape field must be a list, got {shape!r}")
+        if [_strict_int(p, "shape entry") for p in shape] != list(tab.shape):
+            raise ValueError(f"shape field {shape} disagrees with rows {list(tab.shape)}")
     return tab
 
 

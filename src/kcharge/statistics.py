@@ -7,6 +7,9 @@ Two equivalent formulations are implemented for each statistic:
 * "morse" - manifestly non-negative recursions (M, J) driven by cyclic
             residue orders, plus a diagonal count to an addable corner.
 
+Both are read off one walk per standard sequence (`_walk`), which records
+every vector at once.
+
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
 """
@@ -30,9 +33,6 @@ from .ktableaux import (
     KTableau,
     StandardSequence,
     enumerate_k_tableaux,
-    highest_occurrence,
-    lowest_occurrence,
-    restrict_sequence,
     standard_sequences,
 )
 
@@ -45,14 +45,12 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     Diagonal indices are col - row; the lower cell is the one with the
     smaller row (smaller diagonal index on a row tie), and its residue
     mod k+1 selects which diagonals are counted in the open interval.
+    That residue is the residue of one end of the interval, so the count
+    is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
+    cell is the lower.
     """
-    n = k + 1
-    lower = min(c1, c2, key=lambda c: (c.row, c.diagonal))
-    r = lower.diagonal % n
-    lo, hi = sorted((c1.diagonal, c2.diagonal))
-    if hi - lo < 2:
-        return 0
-    return (hi - 1 - r) // n - (lo - r) // n
+    gap = abs(c1.diagonal - c2.diagonal)
+    return (gap - 1) // (k + 1) if gap else 0
 
 
 def lowest_addable(cells: Iterable[Cell]) -> Cell:
@@ -108,93 +106,6 @@ def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
     return ResidueOrder(k + 1, pivot, "high")
 
 
-def index_L(seq: StandardSequence, k: int) -> list[int]:
-    """Signed cocharge index vector over one standard sequence."""
-    out = [0]
-    for i in range(2, len(seq) + 1):
-        cur, prev = lowest_occurrence(seq, i), lowest_occurrence(seq, i - 1)
-        d = diag(cur, prev, k)
-        out.append(out[-1] + 1 + d if prev.row < cur.row else out[-1] - d)
-    return out
-
-
-def index_I(seq: StandardSequence, k: int) -> list[int]:
-    """Signed charge index vector over one standard sequence."""
-    out = [0]
-    for i in range(2, len(seq) + 1):
-        cur, prev = highest_occurrence(seq, i), highest_occurrence(seq, i - 1)
-        d = diag(cur, prev, k)
-        out.append(out[-1] + 1 + d if cur.col > prev.col else out[-1] - d)
-    return out
-
-
-def index_M(seq: StandardSequence, k: int) -> list[int]:
-    """Non-negative cocharge index vector: +1 whenever the residue rises in
-    the low residue order of the sequence restriction."""
-    out = [0]
-    for i in range(2, len(seq) + 1):
-        order = low_order(restrict_sequence(seq, i), k)
-        rose = order.greater(seq.entry(i).residue, seq.entry(i - 1).residue)
-        out.append(out[-1] + 1 if rose else out[-1])
-    return out
-
-
-def index_J(seq: StandardSequence, k: int) -> list[int]:
-    """Non-negative charge index vector: as index_M but under the high
-    residue order."""
-    out = [0]
-    for i in range(2, len(seq) + 1):
-        order = high_order(restrict_sequence(seq, i), k)
-        rose = order.greater(seq.entry(i).residue, seq.entry(i - 1).residue)
-        out.append(out[-1] + 1 if rose else out[-1])
-    return out
-
-
-def diag_to_lowest_addable(seq: StandardSequence, k: int) -> list[int]:
-    """diag(lowest occurrence of i, lowest addable cell of the restriction)."""
-    return [
-        diag(lowest_occurrence(seq, i), lowest_addable(restrict_sequence(seq, i)), k)
-        for i in range(1, len(seq) + 1)
-    ]
-
-
-def diag_to_highest_addable(seq: StandardSequence, k: int) -> list[int]:
-    """diag(highest occurrence of i, highest addable cell of the restriction)."""
-    return [
-        diag(highest_occurrence(seq, i), highest_addable(restrict_sequence(seq, i)), k)
-        for i in range(1, len(seq) + 1)
-    ]
-
-
-def _check_formulation(formulation: str) -> None:
-    if formulation not in FORMULATIONS:
-        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
-
-
-def k_cocharge(tab: KTableau, formulation: str = "morse") -> int:
-    """Sum over standard sequences of the cocharge index vectors."""
-    _check_formulation(formulation)
-    total = 0
-    for seq in standard_sequences(tab):
-        if formulation == "lp":
-            total += sum(index_L(seq, tab.k))
-        else:
-            total += sum(index_M(seq, tab.k)) + sum(diag_to_lowest_addable(seq, tab.k))
-    return total
-
-
-def k_charge(tab: KTableau, formulation: str = "morse") -> int:
-    """Sum over standard sequences of the charge index vectors."""
-    _check_formulation(formulation)
-    total = 0
-    for seq in standard_sequences(tab):
-        if formulation == "lp":
-            total += sum(index_I(seq, tab.k))
-        else:
-            total += sum(index_J(seq, tab.k)) + sum(diag_to_highest_addable(seq, tab.k))
-    return total
-
-
 @dataclass(frozen=True)
 class SequenceReport:
     """Everything the per-sequence statistics tables display."""
@@ -225,37 +136,132 @@ class SequenceReport:
         return sum(self.J) + sum(self.diag_add_high)
 
 
+def _walk(seq: StandardSequence, k: int) -> SequenceReport:
+    """Every per-letter vector of one standard sequence, in one pass.
+
+    The restriction of the sequence to letters <= i is never built: its
+    lowest addable cell depends only on the right-most bottom-row column
+    among those letters, and its highest addable cell only on their top
+    row, so two running maxima stand in for it.  L and I still follow the
+    signed diag-to-previous rule and M and J the cyclic residue orders, so
+    the two formulations remain independent computations.
+
+    Raises ValueError when letter 1 has no bottom-row cell, which no
+    k-tableau allows, whichever formulation the caller reads.
+    """
+    n = k + 1
+    L, M, I, J = [0], [0], [0], [0]
+    d_prev_low, d_prev_high = [0], [0]
+    d_add_low, d_add_high = [], []
+    low_orders: list[ResidueOrder | None] = [None]
+    high_orders: list[ResidueOrder | None] = [None]
+    bottom_col = top_row = 0
+    prev_low = prev_high = prev_res = None
+    for e in seq.entries:
+        low, high = min(e.cells), max(e.cells)
+        for c in e.cells:
+            if c.row == 1 and c.col > bottom_col:
+                bottom_col = c.col
+        if not bottom_col:
+            raise ValueError("cell set has no bottom-row cell")
+        top_row = max(top_row, high.row)
+        low_add, high_add = Cell(1, bottom_col + 1), Cell(top_row + 1, 1)
+        d_add_low.append(diag(low, low_add, k))
+        d_add_high.append(diag(high, high_add, k))
+        if prev_res is not None:
+            d = diag(low, prev_low, k)
+            d_prev_low.append(d)
+            L.append(L[-1] + 1 + d if prev_low.row < low.row else L[-1] - d)
+            d = diag(high, prev_high, k)
+            d_prev_high.append(d)
+            I.append(I[-1] + 1 + d if high.col > prev_high.col else I[-1] - d)
+            order = ResidueOrder(n, residue(low_add, n), "low")
+            low_orders.append(order)
+            M.append(M[-1] + 1 if order.greater(e.residue, prev_res) else M[-1])
+            order = ResidueOrder(n, residue(high_add, n), "high")
+            high_orders.append(order)
+            J.append(J[-1] + 1 if order.greater(e.residue, prev_res) else J[-1])
+        prev_low, prev_high, prev_res = low, high, e.residue
+    return SequenceReport(
+        letters=tuple(e.letter for e in seq.entries),
+        residues=seq.residues(),
+        L=tuple(L),
+        M=tuple(M),
+        I=tuple(I),
+        J=tuple(J),
+        diag_prev_low=tuple(d_prev_low),
+        diag_prev_high=tuple(d_prev_high),
+        diag_add_low=tuple(d_add_low),
+        diag_add_high=tuple(d_add_high),
+        low_orders=tuple(low_orders),
+        high_orders=tuple(high_orders),
+    )
+
+
 def sequence_reports(tab: KTableau) -> list[SequenceReport]:
-    """Per-sequence index vectors, residue orders, and diag corrections."""
-    k = tab.k
-    reports = []
-    for seq in standard_sequences(tab):
-        m = len(seq)
-        d_prev_low, d_prev_high = [0], [0]
-        low_orders: list[ResidueOrder | None] = [None]
-        high_orders: list[ResidueOrder | None] = [None]
-        for i in range(2, m + 1):
-            d_prev_low.append(diag(lowest_occurrence(seq, i), lowest_occurrence(seq, i - 1), k))
-            d_prev_high.append(diag(highest_occurrence(seq, i), highest_occurrence(seq, i - 1), k))
-            low_orders.append(low_order(restrict_sequence(seq, i), k))
-            high_orders.append(high_order(restrict_sequence(seq, i), k))
-        reports.append(
-            SequenceReport(
-                letters=tuple(e.letter for e in seq.entries),
-                residues=seq.residues(),
-                L=tuple(index_L(seq, k)),
-                M=tuple(index_M(seq, k)),
-                I=tuple(index_I(seq, k)),
-                J=tuple(index_J(seq, k)),
-                diag_prev_low=tuple(d_prev_low),
-                diag_prev_high=tuple(d_prev_high),
-                diag_add_low=tuple(diag_to_lowest_addable(seq, k)),
-                diag_add_high=tuple(diag_to_highest_addable(seq, k)),
-                low_orders=tuple(low_orders),
-                high_orders=tuple(high_orders),
-            )
-        )
-    return reports
+    """Per-sequence index vectors, residue orders, and diag corrections:
+    one `_walk` per standard sequence."""
+    return [_walk(seq, tab.k) for seq in standard_sequences(tab)]
+
+
+def index_L(seq: StandardSequence, k: int) -> list[int]:
+    """Signed cocharge index vector over one standard sequence (a view of
+    the `_walk` record)."""
+    return list(_walk(seq, k).L)
+
+
+def index_I(seq: StandardSequence, k: int) -> list[int]:
+    """Signed charge index vector over one standard sequence (a view of
+    the `_walk` record)."""
+    return list(_walk(seq, k).I)
+
+
+def index_M(seq: StandardSequence, k: int) -> list[int]:
+    """Non-negative cocharge index vector: +1 whenever the residue rises in
+    the low residue order of the sequence restriction (a view of the
+    `_walk` record)."""
+    return list(_walk(seq, k).M)
+
+
+def index_J(seq: StandardSequence, k: int) -> list[int]:
+    """Non-negative charge index vector: as index_M but under the high
+    residue order (a view of the `_walk` record)."""
+    return list(_walk(seq, k).J)
+
+
+def diag_to_lowest_addable(seq: StandardSequence, k: int) -> list[int]:
+    """diag(lowest occurrence of i, lowest addable cell of the restriction),
+    a view of the `_walk` record."""
+    return list(_walk(seq, k).diag_add_low)
+
+
+def diag_to_highest_addable(seq: StandardSequence, k: int) -> list[int]:
+    """diag(highest occurrence of i, highest addable cell of the
+    restriction), a view of the `_walk` record."""
+    return list(_walk(seq, k).diag_add_high)
+
+
+def _check_formulation(formulation: str) -> None:
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}, got {formulation!r}")
+
+
+def k_cocharge(tab: KTableau, formulation: str = "morse") -> int:
+    """Sum over standard sequences of the cocharge index vectors."""
+    _check_formulation(formulation)
+    reports = sequence_reports(tab)
+    if formulation == "lp":
+        return sum(r.cocharge_lp() for r in reports)
+    return sum(r.cocharge_morse() for r in reports)
+
+
+def k_charge(tab: KTableau, formulation: str = "morse") -> int:
+    """Sum over standard sequences of the charge index vectors."""
+    _check_formulation(formulation)
+    reports = sequence_reports(tab)
+    if formulation == "lp":
+        return sum(r.charge_lp() for r in reports)
+    return sum(r.charge_morse() for r in reports)
 
 
 class TPolynomial:

@@ -30,16 +30,7 @@ from .ktableaux import (
     to_text,
     validate,
 )
-from .statistics import (
-    classical_charge,
-    classical_cocharge,
-    diag_to_highest_addable,
-    diag_to_lowest_addable,
-    index_J,
-    index_M,
-    k_charge,
-    k_cocharge,
-)
+from .statistics import _walk, classical_charge, classical_cocharge
 
 
 @dataclass(frozen=True)
@@ -95,10 +86,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             failures.append(SweepFailure(identity, detail, context))
 
     seqs = standard_sequences(tab)
-    cocharge_lp = k_cocharge(tab, "lp")
-    cocharge_morse = k_cocharge(tab, "morse")
-    charge_lp = k_charge(tab, "lp")
-    charge_morse = k_charge(tab, "morse")
+    reports = [_walk(seq, k) for seq in seqs]
+    cocharge_lp = sum(r.cocharge_lp() for r in reports)
+    cocharge_morse = sum(r.cocharge_morse() for r in reports)
+    charge_lp = sum(r.charge_lp() for r in reports)
+    charge_morse = sum(r.charge_morse() for r in reports)
     interior = len(k_interior(lam, k))
 
     expect(
@@ -118,9 +110,9 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     )
     expect("charge is non-negative", charge_morse >= 0, f"charge={charge_morse}")
     expect("cocharge is non-negative", cocharge_morse >= 0, f"cocharge={cocharge_morse}")
-    for seq in seqs:
-        terms_low = [m + d for m, d in zip(index_M(seq, k), diag_to_lowest_addable(seq, k))]
-        terms_high = [j + d for j, d in zip(index_J(seq, k), diag_to_highest_addable(seq, k))]
+    for r in reports:
+        terms_low = [m + d for m, d in zip(r.M, r.diag_add_low)]
+        terms_high = [j + d for j, d in zip(r.J, r.diag_add_high)]
         expect(
             "non-negative term by term",
             all(t >= 0 for t in terms_low) and all(t >= 0 for t in terms_high),
@@ -128,10 +120,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         )
 
     for i in range(1, tab.n_letters + 1):
+        shape = tab.restrict_leq(i).shape
         expect(
             "restriction is a core",
-            is_n_core(tab.restrict_leq(i).shape, k + 1),
-            f"restriction to {i} has shape {tab.restrict_leq(i).shape}",
+            is_n_core(shape, k + 1),
+            f"restriction to {i} has shape {shape}",
         )
 
     all_cells = [c for seq in seqs for e in seq.entries for c in e.cells]
@@ -160,16 +153,15 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
 
     if mu and all(part == 1 for part in mu):
         m = len(mu)
-        seq = seqs[0]
-        low_side = sum(index_M(seq, k)) + sum(diag_to_lowest_addable(seq, k))
-        high_side = sum(index_J(seq, k)) + sum(diag_to_highest_addable(seq, k))
+        seq, report = seqs[0], reports[0]
+        low_side = report.cocharge_morse()
+        high_side = report.charge_morse()
         expect(
             "standard duality with explicit constant",
             high_side == m * (m - 1) // 2 - interior - low_side,
             f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
         )
-        d_low = diag_to_lowest_addable(seq, k)
-        d_high = diag_to_highest_addable(seq, k)
+        d_low, d_high = report.diag_add_low, report.diag_add_high
         for i in range(1, m + 1):
             up, down = highest_occurrence(seq, i), lowest_occurrence(seq, i)
             res = residue(up, k + 1)

@@ -1,8 +1,14 @@
+import gc
 import json
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+from kcharge import cli
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
 EX52_TEXT = (
@@ -16,7 +22,14 @@ EX52_TEXT = (
 )
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, stdin=None, env=None):
+    # The child imports kcharge from this checkout's src/, also under a
+    # bare `pytest` that sets no PYTHONPATH.
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "kcharge", *args],
         capture_output=True,
@@ -120,6 +133,30 @@ def test_stat_parse_failure_exits_2():
     assert "error" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "blob", ['{"k": 3.7, "rows": [[1.9, 2]]}', '{"k": true, "rows": [[1]]}']
+)
+def test_stat_rejects_non_integer_json_fields(blob):
+    result = run_cli("stat", "-", stdin=blob)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_stat_closes_its_input_file(tmp_path, capsys):
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps({"k": 3, "rows": [[1]]}))
+    # A leaked handle warns from its finalizer, where an "error" filter's
+    # exception would be swallowed, so the warnings are recorded instead.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(["stat", str(path)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert "k-charge: lp=0 morse=0" in capsys.readouterr().out
+
+
 def test_stat_invalid_tableau_exits_3():
     # (3,1) has a hook-4 cell, so it is not a 4-core
     result = run_cli("stat", "-", stdin="k=3\n2\n1 1 2\n")
@@ -171,8 +208,6 @@ def test_verify_empty_bounds_vacuous_pass():
 
 
 def test_verify_json_and_threads_env():
-    import os
-
     env = dict(os.environ)
     env["KCHARGE_THREADS"] = "2"
     threaded = run_cli("verify", "--max-k", "2", "--max-weight", "4", "--format", "json", env=env)

@@ -332,3 +332,49 @@ def test_parse_json_errors():
 def test_serialization_round_trips_everywhere(tab):
     assert parse_text(to_text(tab)) == tab
     assert parse_json(to_json(tab)) == tab
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"k": 3.7, "rows": [[1.9, 2]]}',
+        '{"k": true, "rows": [[1]]}',
+        '{"k": "3", "rows": [[1]]}',
+        '{"k": 3, "rows": [[1, true]]}',
+        '{"k": 3, "rows": [[1, 2.0]]}',
+        '{"k": 3, "rows": [["1"]]}',
+        '{"k": 3, "rows": "11"}',
+        '{"k": 3, "shape": [2.0], "rows": [[1, 1]]}',
+        '{"k": 3, "shape": [true], "rows": [[1]]}',
+        '{"k": 3, "shape": "1", "rows": [[1]]}',
+        '{"k": 3, "shape": null, "rows": [[1]]}',
+    ],
+)
+def test_parse_json_rejects_non_integer_fields(blob):
+    with pytest.raises(ValueError, match="integer|list"):
+        parse_json(blob)
+
+
+def test_ktableau_rejects_non_integer_k_and_letters():
+    for k, rows in ((3.0, [[1]]), (True, [[1]]), ("3", [[1]]), (3, [[1.0]]), (3, [[False]])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            KTableau(k, rows)
+
+
+def test_letter_index_is_lazy_and_outside_equality(tab_semistandard_13):
+    tabs = enumerate_k_tableaux(3, (2, 2, 1))
+    assert all(t._by_letter is None for t in tabs)
+    copy = KTableau(tab_semistandard_13.k, tab_semistandard_13.rows)
+    scanned = {
+        x: tuple(
+            Cell(i, j)
+            for i, row in enumerate(copy.rows, start=1)
+            for j, y in enumerate(row, start=1)
+            if y == x
+        )
+        for x in range(1, 8)
+    }
+    assert {x: tab_semistandard_13.cells_of(x) for x in range(1, 8)} == scanned
+    assert tab_semistandard_13.cells_of(99) == ()
+    assert copy._by_letter is None and tab_semistandard_13._by_letter is not None
+    assert copy == tab_semistandard_13 and hash(copy) == hash(tab_semistandard_13)

@@ -1,10 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kcharge import cli, ktableaux, statistics, sweeps
 from kcharge.cores import Cell, Partition, k_interior, n_stat, partitions
-from kcharge.ktableaux import enumerate_k_tableaux, standard_sequences
+from kcharge.ktableaux import (
+    KTableau,
+    enumerate_k_tableaux,
+    highest_occurrence,
+    lowest_occurrence,
+    restrict_sequence,
+    standard_sequences,
+)
 from kcharge.statistics import (
     ResidueOrder,
+    SequenceReport,
     TPolynomial,
     charge_table,
     diag,
@@ -257,3 +266,89 @@ def test_tpolynomial_json_round_trip():
     p = TPolynomial({0: 1, 4: 7})
     assert p.to_json_dict() == {"0": 1, "4": 7}
     assert TPolynomial.from_json_dict(p.to_json_dict()) == p
+
+
+def _literal_report(seq, k):
+    """The per-sequence record by the literal definitions: each letter's
+    restriction is rebuilt and its addable cells and residue orders are
+    read off the rebuilt cell set."""
+    m = len(seq)
+    low_at = [lowest_occurrence(seq, i) for i in range(1, m + 1)]
+    high_at = [highest_occurrence(seq, i) for i in range(1, m + 1)]
+    restricted = [restrict_sequence(seq, i) for i in range(1, m + 1)]
+    L, I, M, J = [0], [0], [0], [0]
+    d_prev_low, d_prev_high = [0], [0]
+    low_orders, high_orders = [None], [None]
+    for i in range(1, m):
+        cur, prev = low_at[i], low_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_low.append(d)
+        L.append(L[-1] + 1 + d if prev.row < cur.row else L[-1] - d)
+        cur, prev = high_at[i], high_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_high.append(d)
+        I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
+        res, prev_res = seq.entries[i].residue, seq.entries[i - 1].residue
+        low_orders.append(low_order(restricted[i], k))
+        M.append(M[-1] + low_orders[-1].greater(res, prev_res))
+        high_orders.append(high_order(restricted[i], k))
+        J.append(J[-1] + high_orders[-1].greater(res, prev_res))
+    return SequenceReport(
+        letters=tuple(e.letter for e in seq.entries),
+        residues=tuple(e.residue for e in seq.entries),
+        L=tuple(L),
+        M=tuple(M),
+        I=tuple(I),
+        J=tuple(J),
+        diag_prev_low=tuple(d_prev_low),
+        diag_prev_high=tuple(d_prev_high),
+        diag_add_low=tuple(
+            diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)
+        ),
+        diag_add_high=tuple(
+            diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)
+        ),
+        low_orders=tuple(low_orders),
+        high_orders=tuple(high_orders),
+    )
+
+
+def test_sequence_reports_equal_literal_definitions():
+    cases = [(4, (2, 2, 2, 1, 1))] + [
+        (k, mu) for k in range(1, 5) for size in range(1, 8) for mu in partitions(size, max_part=k)
+    ]
+    checked = 0
+    for k, mu in cases:
+        for tab in enumerate_k_tableaux(k, mu):
+            literal = [_literal_report(seq, k) for seq in standard_sequences(tab)]
+            assert sequence_reports(tab) == literal, tab
+            checked += 1
+    assert checked > 600
+
+
+@pytest.mark.parametrize("formulation", ["lp", "morse"])
+def test_letter_one_off_the_bottom_row_raises(formulation):
+    tab = KTableau(2, [[2], [1]])
+    for statistic in (k_charge, k_cocharge):
+        with pytest.raises(ValueError, match="no bottom-row cell"):
+            statistic(tab, formulation)
+
+
+def test_one_sequence_split_per_tableau(monkeypatch, tab_semistandard_13, tab_standard_9):
+    calls = []
+    original = ktableaux.standard_sequences
+
+    def counting(tab):
+        calls.append(tab)
+        return original(tab)
+
+    for module in (ktableaux, statistics, sweeps):
+        monkeypatch.setattr(module, "standard_sequences", counting)
+    for tab in (tab_semistandard_13, tab_standard_9):
+        calls.clear()
+        cli._stat_payload(tab)
+        assert calls == [tab]
+        calls.clear()
+        checked, failures = sweeps.check_tableau_identities(tab)
+        assert checked and not failures
+        assert calls == [tab]
