@@ -12,13 +12,13 @@ import logging
 import operator
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .cores import (
     Cell,
     Partition,
     add_residue_class,
+    addable_corners,
     cell_with_hook,
     k_bounded_hooks,
     enumerate_cores,
@@ -302,30 +302,48 @@ def _tableau_sort_key(tab: KTableau) -> tuple:
     return (partition_sort_key(tab.shape), tab.rows)
 
 
-def _weak_strips(shape: Partition, n: int, residues: tuple[int, ...]) -> list[Partition]:
-    """The horizontal-strip extension of shape spanning exactly the given
-    residues (fewer than n of them), as a list of at most one shape.
+def _weak_strips(shape: Partition, n: int, size: int) -> list[Partition]:
+    """Every weak strip on shape that spans exactly `size` residues (fewer
+    than n): one horizontal-strip extension per residue set that has one.
 
-    By the k-bounded Pieri rule the strip is the action of the cyclically
-    ordered word of the residue set: each maximal run r, r+1, ... of
-    consecutive residues mod n is filled in increasing order, one residue
-    class at a time.  Runs are separated by gaps, so they commute.
+    By the k-bounded Pieri rule the strip of a residue set fills each
+    maximal run r, r+1, ... of consecutive residues mod n in increasing
+    order, one residue class at a time, runs by increasing start.  Here the
+    runs are grown instead of tried per residue set.  A run starts only at
+    an addable residue of shape: filling residue class x makes new addable
+    corners only of residues x-1 and x+1, and each earlier run ends at
+    least two residues below the next start.  Every run length that fills
+    is pushed on a stack.  A later run starts at least two residues past
+    the previous run's end, and cyclically every run ends before the first
+    start, so each residue set is reached once, through its maximal runs.
+    The added cells must lie in distinct columns.
     """
-    chosen = set(residues)
-    grown = shape
-    for start in sorted(chosen):
-        if (start - 1) % n in chosen:
-            continue  # not the first residue of its run
-        res = start
-        while res in chosen:
-            grown = add_residue_class(grown, n, res)
-            if grown is None:
-                return []
-            res = (res + 1) % n
-    # The added cells must lie in distinct columns.
-    if len(grown) > len(shape) + 1 or any(b > a for a, b in zip(shape, grown[1:])):
-        return []
-    return [grown]
+    starts = sorted({res for _, res in addable_corners(shape, n)})
+    strips: list[Partition] = []
+    # (grown shape, residues still to add, first run's start or n before any
+    # run, lowest next start); later starts exceed the first, hence the min.
+    stack: list[tuple[Partition, int, int, int]] = [(shape, size, n, 0)]
+    while stack:
+        grown, left, first, low = stack.pop()
+        if not left:
+            if len(grown) <= len(shape) + 1 and all(
+                b <= a for a, b in zip(shape, grown[1:])
+            ):
+                strips.append(grown)
+            continue
+        for start in starts:
+            if start < low:
+                continue
+            head = min(first, start)
+            run = grown
+            for m in range(1, left + 1):
+                if start + m - n >= head:
+                    break  # the run would reach the first run's start
+                run = add_residue_class(run, n, (start + m - 1) % n)
+                if run is None:
+                    break
+                stack.append((run, left - m, head, start + m + 1))
+    return strips
 
 
 def _extend_rows(
@@ -347,13 +365,12 @@ def _enumerate_fast(
             if target is None or shape == target:
                 found.append(KTableau(k, rows))
             continue
-        for chosen in combinations(range(n), weight[idx]):
-            for grown in _weak_strips(shape, n, chosen):
-                if target is not None and (
-                    len(grown) > len(target) or any(a > b for a, b in zip(grown, target))
-                ):
-                    continue
-                stack.append((grown, _extend_rows(rows, grown, idx + 1), idx + 1))
+        for grown in _weak_strips(shape, n, weight[idx]):
+            if target is not None and (
+                len(grown) > len(target) or any(a > b for a, b in zip(grown, target))
+            ):
+                continue
+            stack.append((grown, _extend_rows(rows, grown, idx + 1), idx + 1))
     return found
 
 
@@ -382,17 +399,19 @@ def enumerate_k_tableaux(
 ) -> list[KTableau]:
     """All k-tableaux of the given weight (and shape, if supplied).
 
-    The weight may be any composition with parts between 1 and k.  Output
-    is in canonical order: by shape (size, then reverse-lexicographic),
-    then by bottom-to-top left-to-right reading word.
+    The weight may be any composition with parts between 1 and k; its
+    parts must be integers (bools, floats and strings raise ValueError).
+    Output is in canonical order: by shape (size, then
+    reverse-lexicographic), then by bottom-to-top left-to-right reading
+    word.
 
-    Strategies: "fast" grows the tableau letter by letter, adding for each
-    residue set of the letter's size the one weak strip that the k-bounded
-    Pieri rule allows (see `_weak_strips`); "oracle" brute-forces all
-    fillings of all candidate core shapes and filters by `validate`.  Both
-    return identical sets.
+    Strategies: "fast" grows the tableau letter by letter, adding every
+    weak strip of the letter's size that the k-bounded Pieri rule allows,
+    built run by run from the addable residues (see `_weak_strips`);
+    "oracle" brute-forces all fillings of all candidate core shapes and
+    filters by `validate`.  Both return identical sets.
     """
-    weight = tuple(int(a) for a in weight)
+    weight = tuple(_strict_int(a, "weight part") for a in weight)
     if any(a < 1 for a in weight):
         raise ValueError(f"weight parts must be positive, got {weight}")
     if any(a > k for a in weight):

@@ -25,19 +25,32 @@ EX52_TEXT = (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_python(*args, stdin=None, env=None):
     # The child imports kcharge from this checkout's src/, also under a
     # bare `pytest` that sets no PYTHONPATH.
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "kcharge", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         input=stdin,
         env=env,
         timeout=120,
     )
+
+
+def run_cli(*args, stdin=None, env=None):
+    return run_python("-m", "kcharge", *args, stdin=stdin, env=env)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a parallel verify sweep needs multiprocessing, so only it imports it.
+    proc = run_python(
+        "-c", "import sys, kcharge.cli; print('multiprocessing' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_enumerate_weight_321():

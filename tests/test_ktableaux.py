@@ -187,6 +187,16 @@ def test_enumerate_rejects_bad_weight():
         enumerate_k_tableaux(2, (1,), strategy="magic")
 
 
+@pytest.mark.parametrize("weight", [(2.5, 1), ("2", "1"), (True,)])
+def test_enumerate_rejects_non_integer_weight_parts(weight):
+    with pytest.raises(ValueError, match="must be an integer"):
+        enumerate_k_tableaux(3, weight)
+
+
+def test_enumerate_accepts_partition_weight():
+    assert enumerate_k_tableaux(3, Partition([2, 1])) == enumerate_k_tableaux(3, (2, 1))
+
+
 def test_enumerate_with_shape_filter():
     tabs = enumerate_k_tableaux(3, (3, 2, 1), shape=Partition([6, 3]))
     assert len(tabs) == 1
@@ -214,6 +224,11 @@ def test_enumeration_is_canonically_ordered():
     assert keys == sorted(keys)
 
 
+def in_distinct_columns(shape, grown):
+    added = set(grown.cells()) - set(shape.cells())
+    return len({c.col for c in added}) == len(added)
+
+
 def literal_weak_strips(shape, n, residues):
     """Every order of the residues, one residue class at a time; keeps the
     distinct results whose added cells lie in distinct columns."""
@@ -225,8 +240,7 @@ def literal_weak_strips(shape, n, residues):
             if grown is None:
                 break
         else:
-            added = set(grown.cells()) - set(shape.cells())
-            if len({c.col for c in added}) == len(added):
+            if in_distinct_columns(shape, grown):
                 found.add(grown)
     return found
 
@@ -237,14 +251,50 @@ def test_weak_strips_equal_literal_search():
         n = k + 1
         for core in enumerate_cores(n, 8):
             for size in range(1, k + 1):
+                expected = set()
                 for residues in combinations(range(n), size):
-                    strips = _weak_strips(core, n, residues)
-                    assert len(strips) == len(set(strips)) <= 1
-                    assert set(strips) == literal_weak_strips(core, n, residues), (
-                        k, tuple(core), residues,
-                    )
+                    expected |= literal_weak_strips(core, n, residues)
                     pairs += 1
+                strips = _weak_strips(core, n, size)
+                assert len(strips) == len(set(strips))
+                assert set(strips) == expected, (k, tuple(core), size)
     assert pairs == 6052
+
+
+def lattice_weak_strips(shape, n):
+    """Size -> every strip of that many residues: each residue class applied
+    in every order, as a walk over the subset lattice in which orders with a
+    common prefix share its shapes; keeps the shapes whose added cells lie
+    in distinct columns."""
+    level = {frozenset(): {shape}}
+    strips = {}
+    for size in range(1, n):
+        grown = {}
+        for used, shapes in level.items():
+            for reached in shapes:
+                for res in set(range(n)) - used:
+                    child = add_residue_class(reached, n, res)
+                    if child is not None:
+                        grown.setdefault(used | {res}, set()).add(child)
+        level = grown
+        strips[size] = {
+            s for shapes in grown.values() for s in shapes if in_distinct_columns(shape, s)
+        }
+    return strips
+
+
+def test_weak_strips_equal_lattice_search_large_k():
+    found = 0
+    for k in range(6, 9):
+        n = k + 1
+        for core in enumerate_cores(n, 6):
+            expected = lattice_weak_strips(core, n)
+            for size in range(1, k + 1):
+                strips = _weak_strips(core, n, size)
+                assert len(strips) == len(set(strips))
+                assert set(strips) == expected[size], (k, tuple(core), size)
+                found += len(strips)
+    assert found == 1593
 
 
 def test_enumeration_leaves_no_cyclic_garbage():

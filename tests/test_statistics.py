@@ -352,3 +352,11 @@ def test_one_sequence_split_per_tableau(monkeypatch, tab_semistandard_13, tab_st
         checked, failures = sweeps.check_tableau_identities(tab)
         assert checked and not failures
         assert calls == [tab]
+
+
+def test_restriction_that_is_not_a_core_is_reported():
+    # (3,1) has a hook of length 4 at (1,1); the restriction to letter 1,
+    # (2), is a 4-core.
+    checked, failures = sweeps.check_tableau_identities(KTableau(3, [[1, 1, 2], [2]]))
+    restriction = [f.detail for f in failures if f.identity == "restriction is a core"]
+    assert restriction == ["restriction to 2 has shape (3,1)"]
