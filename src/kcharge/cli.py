@@ -204,11 +204,7 @@ def _stat_text(payload: dict) -> str:
 
 
 def cmd_stat(args: argparse.Namespace) -> int:
-    try:
-        tab = _read_tableau(args.input)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    tab = _read_tableau(args.input)
     report = validate(tab)
     if not report.ok:
         where = f" at cell {tuple(report.cell)}" if report.cell else ""
@@ -285,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

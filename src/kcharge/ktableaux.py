@@ -316,7 +316,11 @@ def _weak_strips(shape: Partition, n: int, size: int) -> list[Partition]:
     is pushed on a stack.  A later run starts at least two residues past
     the previous run's end, and cyclically every run ends before the first
     start, so each residue set is reached once, through its maximal runs.
-    The added cells must lie in distinct columns.
+    Every strip built so is horizontal, with no further check: filling
+    residue x opens a corner of residue x-1 only directly above a cell it
+    just added, runs only increase, and every run ends cyclically before
+    residue first-1, so no run fills x-1 after x.  The added cells thus lie
+    in distinct columns, and at most one new row appears.
     """
     starts = sorted({res for _, res in addable_corners(shape, n)})
     strips: list[Partition] = []
@@ -326,10 +330,7 @@ def _weak_strips(shape: Partition, n: int, size: int) -> list[Partition]:
     while stack:
         grown, left, first, low = stack.pop()
         if not left:
-            if len(grown) <= len(shape) + 1 and all(
-                b <= a for a, b in zip(shape, grown[1:])
-            ):
-                strips.append(grown)
+            strips.append(grown)
             continue
         for start in starts:
             if start < low:

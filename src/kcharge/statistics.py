@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 from .cores import (
     Cell,
     Partition,
-    k_interior,
     n_stat,
     partition_sort_key,
     partitions,

@@ -74,7 +74,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     k = tab.k
     mu = Partition(tab.weight)
     lam = tab.shape
-    context = to_text(tab)
     checked = 0
     failures: list[SweepFailure] = []
 
@@ -82,7 +81,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         nonlocal checked
         checked += 1
         if not condition:
-            failures.append(SweepFailure(identity, detail, context))
+            failures.append(SweepFailure(identity, detail, to_text(tab)))
 
     seqs = standard_sequences(tab)
     reports = [_walk(seq, k) for seq in seqs]
@@ -197,12 +196,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             counts == tuple(mu),
             f"cell counts {counts} vs weight {tuple(mu)}",
         )
+        classical = (classical_charge(tab.rows), classical_cocharge(tab.rows))
         expect(
             "large-k charge matches the classical statistic",
-            charge_morse == classical_charge(tab.rows)
-            and cocharge_morse == classical_cocharge(tab.rows),
-            f"k-stats ({charge_morse}, {cocharge_morse}) vs classical "
-            f"({classical_charge(tab.rows)}, {classical_cocharge(tab.rows)})",
+            (charge_morse, cocharge_morse) == classical,
+            f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
         )
 
     return checked, failures

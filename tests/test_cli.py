@@ -97,6 +97,15 @@ def test_enumerate_rejects_malformed_weight():
     assert result.returncode == 2
 
 
+def test_unwritable_output_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x"
+    result = run_cli("enumerate", "--k", "2", "--weight", "1", "--output", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_stat_standard_tableau(tmp_path):
     path = tmp_path / "tab.txt"
     path.write_text(EX42_TEXT)

@@ -297,6 +297,22 @@ def test_weak_strips_equal_lattice_search_large_k():
     assert found == 1593
 
 
+def test_weak_strips_are_horizontal_strips_large_k():
+    # _weak_strips keeps every strip it builds; the Pieri-rule run bounds
+    # alone must make each one horizontal.
+    cores = strips = 0
+    for k in range(6, 10):
+        n = k + 1
+        for core in enumerate_cores(n, 10):
+            cores += 1
+            for size in range(1, k + 1):
+                for grown in _weak_strips(core, n, size):
+                    strips += 1
+                    assert in_distinct_columns(core, grown), (k, tuple(core), tuple(grown))
+                    assert len(grown) <= len(core) + 1, (k, tuple(core), tuple(grown))
+    assert (cores, strips) == (531, 12812)
+
+
 def test_enumeration_leaves_no_cyclic_garbage():
     gc.collect()
     assert enumerate_k_tableaux(4, (4,) + (1,) * 10)

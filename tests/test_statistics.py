@@ -357,6 +357,30 @@ def test_one_sequence_split_per_tableau(monkeypatch, tab_semistandard_13, tab_st
 def test_restriction_that_is_not_a_core_is_reported():
     # (3,1) has a hook of length 4 at (1,1); the restriction to letter 1,
     # (2), is a 4-core.
-    checked, failures = sweeps.check_tableau_identities(KTableau(3, [[1, 1, 2], [2]]))
-    restriction = [f.detail for f in failures if f.identity == "restriction is a core"]
-    assert restriction == ["restriction to 2 has shape (3,1)"]
+    tab = KTableau(3, [[1, 1, 2], [2]])
+    checked, failures = sweeps.check_tableau_identities(tab)
+    restriction = [f for f in failures if f.identity == "restriction is a core"]
+    assert [f.detail for f in restriction] == ["restriction to 2 has shape (3,1)"]
+    assert restriction[0].context == ktableaux.to_text(tab)
+
+
+def test_passing_identities_render_no_text(monkeypatch):
+    # The counterexample text is rendered only for a failing identity, and
+    # the large-k identity computes the classical pair once.
+    tab = enumerate_k_tableaux(9, (2, 1))[0]
+    calls = {"to_text": 0, "classical_charge": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sweeps, "to_text", counting("to_text", sweeps.to_text))
+    charge = counting("classical_charge", statistics.classical_charge)
+    for module in (statistics, sweeps):
+        monkeypatch.setattr(module, "classical_charge", charge)
+    checked, failures = sweeps.check_tableau_identities(tab)
+    assert checked and not failures
+    assert calls == {"to_text": 0, "classical_charge": 2}
