@@ -243,9 +243,20 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _threads() -> int:
+    """Worker count from KCHARGE_THREADS (unset or empty means 1)."""
+    text = os.environ.get("KCHARGE_THREADS", "1") or "1"
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"KCHARGE_THREADS must be a positive integer, got {text!r}")
+    return threads
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = int(os.environ.get("KCHARGE_THREADS", "1") or "1")
-    report = run_statistics_sweep(args.max_k, args.max_weight, processes=threads)
+    report = run_statistics_sweep(args.max_k, args.max_weight, processes=_threads())
     if args.format == "json":
         payload = {
             "tableaux_checked": report.subjects_checked,

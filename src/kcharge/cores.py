@@ -7,11 +7,23 @@ All values are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Coordinates must fit comfortably in machine words; sums (polynomial
 # coefficients, statistics) are plain Python ints and may grow freely.
 MAX_EXTENT = 10**6
+
+
+def _strict_int(value: object, what: str) -> int:
+    """value as an int, refusing bools and anything that is not an integer
+    (floats, strings), which int() would silently coerce."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class Cell(NamedTuple):
@@ -28,11 +40,16 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
     Doubles as a shape (Ferrers diagram) and as a weight vector.  The
-    empty partition is ``Partition()``.
+    empty partition is ``Partition()``.  Public construction validates:
+    parts must be integers (bools, floats and strings raise ValueError
+    rather than being coerced), weakly decreasing and positive.  Shapes
+    that this module derives from a partition, such as conjugates and
+    grown cores, are partitions by construction and are built through the
+    private unchecked `_trusted` instead.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(p if type(p) is int else _strict_int(p, "partition part") for p in parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
@@ -42,17 +59,23 @@ class Partition(tuple):
             raise ValueError(f"partition extent exceeds {MAX_EXTENT}")
         return super().__new__(cls, parts)
 
+    @classmethod
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
+        """Build without validation; only for parts that are a partition by
+        construction."""
+        return tuple.__new__(cls, parts)
+
     def size(self) -> int:
         return sum(self)
 
     def conjugate(self) -> "Partition":
         if not self:
-            return Partition()
+            return Partition._trusted(())
         cols = [0] * self[0]
         for part in self:
             for j in range(part):
                 cols[j] += 1
-        return Partition(cols)
+        return Partition._trusted(cols)
 
     def contains(self, cell: Cell) -> bool:
         return 1 <= cell.row <= len(self) and 1 <= cell.col <= self[cell.row - 1]
@@ -91,12 +114,12 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n < 0:
         return
     if n == 0:
-        yield Partition()
+        yield Partition._trusted(())
         return
     first_cap = n if max_part is None else min(max_part, n)
     for first in range(first_cap, 0, -1):
         for rest in partitions(n - first, first):
-            yield Partition((first,) + tuple(rest))
+            yield Partition._trusted((first,) + rest)
 
 
 def hook_length(shape: Partition, cell: Cell) -> int:
@@ -195,7 +218,7 @@ def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
             parts.append(col)
         else:
             parts[row - 1] = col
-    return Partition(parts)
+    return Partition._trusted(parts)
 
 
 def semistandard_fillings(

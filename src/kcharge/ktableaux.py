@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -17,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .cores import (
     Cell,
     Partition,
+    _strict_int,
     add_residue_class,
     addable_corners,
     cell_with_hook,
@@ -28,17 +28,6 @@ from .cores import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-def _strict_int(value: object, what: str) -> int:
-    """value as an int, refusing bools and anything that is not an integer
-    (floats, strings), which int() would silently coerce."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 class KTableau:

@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .cores import (
     Cell,
     Partition,
+    _strict_int,
     n_stat,
     partition_sort_key,
     partitions,
@@ -265,7 +266,9 @@ def k_charge(tab: KTableau, formulation: str = "morse") -> int:
 
 class TPolynomial:
     """Polynomial in t with integer coefficients and exponents >= 0,
-    stored as a sparse exponent -> coefficient map."""
+    stored as a sparse exponent -> coefficient map.  Exponents and
+    coefficients must be integers: bools, floats and strings raise
+    ValueError rather than being coerced."""
 
     __slots__ = ("_coeffs",)
 
@@ -273,7 +276,7 @@ class TPolynomial:
         self._coeffs: dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
-                e, c = int(e), int(c)
+                e, c = _strict_int(e, "exponent"), _strict_int(c, "coefficient")
                 if e < 0:
                     raise ValueError(f"exponent must be non-negative, got {e}")
                 if c:
@@ -325,7 +328,7 @@ class TPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "TPolynomial":
-        return cls({int(e): int(c) for e, c in data.items()})
+        return cls({int(e): c for e, c in data.items()})
 
 
 def charge_table(
@@ -407,8 +410,9 @@ def enumerate_ssyt(
     shape: Partition, weight: Sequence[int]
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All classical semistandard fillings of shape with the exact letter
-    multiplicities given by weight (rows bottom-first)."""
-    weight = tuple(int(a) for a in weight)
+    multiplicities given by weight (rows bottom-first).  Weight parts must
+    be integers."""
+    weight = tuple(_strict_int(a, "weight part") for a in weight)
     if sum(weight) != shape.size():
         return []
     return list(semistandard_fillings(shape, len(weight), weight))
@@ -416,8 +420,9 @@ def enumerate_ssyt(
 
 def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     """Charge generating polynomials over classical semistandard tableaux,
-    keyed by shape; shapes with no tableaux are omitted."""
-    weight = tuple(int(a) for a in weight)
+    keyed by shape; shapes with no tableaux are omitted.  Weight parts
+    must be integers."""
+    weight = tuple(_strict_int(a, "weight part") for a in weight)
     table: dict[Partition, TPolynomial] = {}
     for shape in partitions(sum(weight)):
         poly = TPolynomial()

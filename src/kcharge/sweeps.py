@@ -7,7 +7,9 @@ is reported with enough context to reproduce it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .cores import (
     Cell,
@@ -69,7 +71,8 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
-    Returns (number of identities checked, failures).
+    Returns (number of identities checked, failures).  Each identity's
+    detail text is rendered only when that identity fails.
     """
     k = tab.k
     mu = Partition(tab.weight)
@@ -77,11 +80,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     checked = 0
     failures: list[SweepFailure] = []
 
-    def expect(identity: str, condition: bool, detail: str) -> None:
+    def expect(identity: str, condition: bool, detail: Callable[[], str]) -> None:
         nonlocal checked
         checked += 1
         if not condition:
-            failures.append(SweepFailure(identity, detail, to_text(tab)))
+            failures.append(SweepFailure(identity, detail(), to_text(tab)))
 
     seqs = standard_sequences(tab)
     reports = [_walk(seq, k) for seq in seqs]
@@ -94,27 +97,29 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     expect(
         "cocharge formulations agree",
         cocharge_lp == cocharge_morse,
-        f"lp={cocharge_lp} morse={cocharge_morse}",
+        lambda: f"lp={cocharge_lp} morse={cocharge_morse}",
     )
     expect(
         "charge formulations agree",
         charge_lp == charge_morse,
-        f"lp={charge_lp} morse={charge_morse}",
+        lambda: f"lp={charge_lp} morse={charge_morse}",
     )
     expect(
         "charge + cocharge = n(weight) - interior",
         charge_morse + cocharge_morse == n_stat(mu) - interior,
-        f"{charge_morse} + {cocharge_morse} != {n_stat(mu)} - {interior}",
+        lambda: f"{charge_morse} + {cocharge_morse} != {n_stat(mu)} - {interior}",
     )
-    expect("charge is non-negative", charge_morse >= 0, f"charge={charge_morse}")
-    expect("cocharge is non-negative", cocharge_morse >= 0, f"cocharge={cocharge_morse}")
+    expect("charge is non-negative", charge_morse >= 0, lambda: f"charge={charge_morse}")
+    expect(
+        "cocharge is non-negative", cocharge_morse >= 0, lambda: f"cocharge={cocharge_morse}"
+    )
     for r in reports:
         terms_low = [m + d for m, d in zip(r.M, r.diag_add_low)]
         terms_high = [j + d for j, d in zip(r.J, r.diag_add_high)]
         expect(
             "non-negative term by term",
             all(t >= 0 for t in terms_low) and all(t >= 0 for t in terms_high),
-            f"terms {terms_low} / {terms_high}",
+            lambda: f"terms {terms_low} / {terms_high}",
         )
 
     for i in range(1, tab.n_letters + 1):
@@ -124,14 +129,14 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         expect(
             "restriction is a core",
             is_n_core(shape, k + 1),
-            f"restriction to {i} has shape {shape}",
+            lambda: f"restriction to {i} has shape {shape}",
         )
 
     all_cells = [c for seq in seqs for e in seq.entries for c in e.cells]
     expect(
         "sequences partition the cells",
         len(all_cells) == len(set(all_cells)) == lam.size(),
-        f"{len(all_cells)} cells over sequences vs {lam.size()} in shape",
+        lambda: f"{len(all_cells)} cells over sequences vs {lam.size()} in shape",
     )
     for seq in seqs:
         for e in seq.entries:
@@ -142,13 +147,13 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                 len(set(residue(c, k + 1) for c in e.cells)) == 1
                 and len(set(rows)) == len(rows)
                 and len(set(cols)) == len(cols),
-                f"letter {e.letter} cells {sorted(e.cells)}",
+                lambda: f"letter {e.letter} cells {sorted(e.cells)}",
             )
     alpha1 = mu[0] if mu else 0
     expect(
         "letter 1 fills the bottom row start",
         set(tab.cells_of(1)) == {Cell(1, j) for j in range(1, alpha1 + 1)},
-        f"letter-1 cells {sorted(tab.cells_of(1))}",
+        lambda: f"letter-1 cells {sorted(tab.cells_of(1))}",
     )
 
     if mu and all(part == 1 for part in mu):
@@ -159,7 +164,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         expect(
             "standard duality with explicit constant",
             high_side == m * (m - 1) // 2 - interior - low_side,
-            f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
+            lambda: f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
         )
         d_low, d_high = report.diag_add_low, report.diag_add_high
         for i in range(1, m + 1):
@@ -174,7 +179,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             expect(
                 "diagonal filling between extremes",
                 all(d in letter_diags for d in between),
-                f"letter {i} misses a residue-{res} diagonal in {between}",
+                lambda: f"letter {i} misses a residue-{res} diagonal in {between}",
             )
             meeting = {
                 c.diagonal
@@ -186,7 +191,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             expect(
                 "diagonal count through the restriction",
                 count == len(meeting),
-                f"letter {i}: {count} != {len(meeting)}",
+                lambda: f"letter {i}: {count} != {len(meeting)}",
             )
 
     if k > (lam[0] if lam else 0) + len(lam) - 2:
@@ -194,13 +199,13 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         expect(
             "large k degenerates to a classical tableau",
             counts == tuple(mu),
-            f"cell counts {counts} vs weight {tuple(mu)}",
+            lambda: f"cell counts {counts} vs weight {tuple(mu)}",
         )
         classical = (classical_charge(tab.rows), classical_cocharge(tab.rows))
         expect(
             "large-k charge matches the classical statistic",
             (charge_morse, cocharge_morse) == classical,
-            f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
+            lambda: f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
         )
 
     return checked, failures
@@ -225,13 +230,15 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
 
 def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> SweepReport:
     """Check every statistics identity over all k-tableaux with k <= max_k
-    and partition weight of size <= max_weight (parts <= k)."""
+    and partition weight of size <= max_weight (parts <= k).  At most
+    `processes` worker processes run, never more than the CPU count."""
     tasks = [(k, tuple(mu)) for k, mu in weights_up_to(max_k, max_weight)]
     report = SweepReport()
-    if processes > 1 and len(tasks) > 1:
+    workers = min(processes, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing  # only a parallel sweep pays for the import
 
-        with multiprocessing.Pool(min(processes, len(tasks))) as pool:
+        with multiprocessing.Pool(workers) as pool:
             partials = pool.map(_statistics_task, tasks)
     else:
         partials = map(_statistics_task, tasks)

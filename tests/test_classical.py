@@ -77,6 +77,16 @@ def test_enumerate_ssyt_counts():
     assert enumerate_ssyt(Partition([1, 1]), (2,)) == []
 
 
+def test_enumerate_ssyt_rejects_non_integer_weight():
+    with pytest.raises(ValueError, match="weight part must be an integer"):
+        enumerate_ssyt(Partition((2, 1)), (2.7, 1))
+
+
+def test_kostka_foulkes_table_rejects_non_integer_weight():
+    with pytest.raises(ValueError, match="weight part must be an integer"):
+        kostka_foulkes_table((2.2, 1))
+
+
 def test_enumerate_ssyt_fillings_are_semistandard():
     for rows in enumerate_ssyt(Partition([3, 2]), (2, 2, 1)):
         for row in rows:

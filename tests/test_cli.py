@@ -240,6 +240,53 @@ def test_verify_json_and_threads_env():
     assert payload["pass"] is True
 
 
+def test_verify_pins_identity_count(monkeypatch, capsys):
+    # A dropped or merged identity check changes the count.
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert cli.main(["verify", "--max-k", "4", "--max-weight", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "tableaux checked: 307\nidentities checked: 7708\nresult: PASS\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+def test_verify_rejects_bad_threads_env(monkeypatch, capsys, value):
+    monkeypatch.setenv("KCHARGE_THREADS", value)
+    assert cli.main(["verify", "--max-k", "2", "--max-weight", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: KCHARGE_THREADS must be a positive integer, got {value!r}\n"
+
+
+def test_verify_workers_capped_at_cpu_count(monkeypatch, capsys):
+    # The recorder stands in for the pool and starts no process.
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setenv("KCHARGE_THREADS", "1000")
+    for cpus, expected in ((2, [2]), (1, []), (None, [])):
+        started.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(["verify", "--max-k", "2", "--max-weight", "4"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
+        assert started == expected
+
+
 def test_output_flag_writes_file(tmp_path):
     out = tmp_path / "out.txt"
     result = run_cli("table", "--k", "3", "--weight", "3,2,1", "--output", str(out))

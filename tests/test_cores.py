@@ -51,6 +51,31 @@ def test_partition_construction():
         Partition([10**6 + 1])
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), ("3", "1"), (True,)])
+def test_partition_rejects_non_integer_parts(parts):
+    with pytest.raises(ValueError, match="partition part must be an integer"):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_unchecked_shapes_are_partitions(n):
+    # Conjugates and grown cores skip validation; each must equal the
+    # checked construction of the same parts.
+    for core in enumerate_cores(n, 8):
+        conj = core.conjugate()
+        assert type(conj) is Partition and conj == Partition(tuple(conj))
+        for res in range(n):
+            grown = add_residue_class(core, n, res)
+            if grown is not None:
+                assert type(grown) is Partition and grown == Partition(tuple(grown))
+
+
+def test_partitions_are_checked_partitions():
+    for m in range(11):
+        for lam in partitions(m):
+            assert type(lam) is Partition and lam == Partition(tuple(lam))
+
+
 def test_partition_text_form():
     assert str(Partition([7, 3, 2, 1, 1])) == "(7,3,2,1,1)"
     assert str(Partition()) == "()"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from kcharge import cli, ktableaux, statistics, sweeps
+from kcharge import cli, cores, ktableaux, statistics, sweeps
 from kcharge.cores import Cell, Partition, k_interior, n_stat, partitions
 from kcharge.ktableaux import (
     KTableau,
@@ -268,6 +268,15 @@ def test_tpolynomial_json_round_trip():
     assert TPolynomial.from_json_dict(p.to_json_dict()) == p
 
 
+def test_tpolynomial_rejects_non_integer_terms():
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        TPolynomial({"1": 2.9})
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        TPolynomial({1: 2.9})
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        TPolynomial.from_json_dict({"1": 2.9})
+
+
 def _literal_report(seq, k):
     """The per-sequence record by the literal definitions: each letter's
     restriction is rebuilt and its addable cells and residue orders are
@@ -384,3 +393,73 @@ def test_passing_identities_render_no_text(monkeypatch):
     checked, failures = sweeps.check_tableau_identities(tab)
     assert checked and not failures
     assert calls == {"to_text": 0, "classical_charge": 2}
+
+
+@pytest.mark.parametrize(
+    "k,rows,expected",
+    [
+        (
+            3,
+            [[1, 1, 2], [2]],
+            [
+                ("charge + cocharge = n(weight) - interior", "1 + 1 != 2 - 1"),
+                ("restriction is a core", "restriction to 2 has shape (3,1)"),
+            ],
+        ),
+        (
+            2,
+            [[1, 2], [3]],
+            [
+                ("charge + cocharge = n(weight) - interior", "2 + 1 != 3 - 1"),
+                ("restriction is a core", "restriction to 3 has shape (2,1)"),
+                ("standard duality with explicit constant", "2 != 3*2/2 - 1 - 1"),
+            ],
+        ),
+        (
+            3,
+            [[1, 1, 2, 3], [2, 3]],
+            [
+                ("charge + cocharge = n(weight) - interior", "3 + 3 != 6 - 2"),
+                ("restriction is a core", "restriction to 2 has shape (3,1)"),
+                ("restriction is a core", "restriction to 3 has shape (4,2)"),
+            ],
+        ),
+        (
+            1,
+            [[1, 2], [3], [1]],
+            [
+                ("charge formulations agree", "lp=4 morse=3"),
+                ("charge + cocharge = n(weight) - interior", "3 + 1 != 3 - 2"),
+                ("restriction is a core", "restriction to 1 has shape (1,1)"),
+                ("restriction is a core", "restriction to 3 has shape (2,1,1)"),
+                (
+                    "entry occupies one residue, distinct rows and columns",
+                    "letter 1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
+                ),
+                (
+                    "letter 1 fills the bottom row start",
+                    "letter-1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
+                ),
+                ("standard duality with explicit constant", "3 != 3*2/2 - 2 - 1"),
+                ("diagonal count through the restriction", "letter 2: 2 != 1"),
+            ],
+        ),
+    ],
+)
+def test_failure_details_are_pinned(k, rows, expected):
+    # Details are rendered lazily; the text of each failure stays exactly
+    # what eager rendering gave, loop variables included.
+    tab = KTableau(k, rows)
+    checked, failures = sweeps.check_tableau_identities(tab)
+    assert [(f.identity, f.detail) for f in failures] == expected
+    assert all(f.context == ktableaux.to_text(tab) for f in failures)
+
+
+def test_passing_tableau_renders_no_detail(monkeypatch, tab_standard_9):
+    def refuse(self):
+        raise AssertionError("detail rendered for a passing identity")
+
+    monkeypatch.setattr(cores.Partition, "__str__", refuse)
+    monkeypatch.setattr(cores.Cell, "__repr__", refuse)
+    checked, failures = sweeps.check_tableau_identities(tab_standard_9)
+    assert checked and failures == []
