@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .cores import Partition, k_interior, n_stat
+from .cores import Partition, _parse_digits, k_bounded_hooks, n_stat
 from .ktableaux import (
     enumerate_k_tableaux,
     parse_json_dict,
@@ -31,12 +31,20 @@ EXIT_INVALID_INPUT = 3
 
 def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
+        values = tuple(_parse_digits(x, what) for x in text.split(","))
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}")
     if any(v < 1 for v in values):
         raise ValueError(f"{what} parts must be positive, got {text!r}")
     return values
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of the integer options: ASCII digits 0-9 only."""
+    try:
+        return _parse_digits(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
 
     p_enum = sub.add_parser("enumerate", help="list all k-tableaux of a weight")
-    p_enum.add_argument("--k", type=int, required=True)
+    p_enum.add_argument("--k", type=_int_arg, required=True)
     p_enum.add_argument("--weight", required=True, help="comma-separated, e.g. 3,2,1")
     p_enum.add_argument("--shape", default=None, help="restrict to one shape")
     p_enum.add_argument("--strategy", choices=("fast", "oracle"), default="fast")
@@ -62,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_stat)
 
     p_table = sub.add_parser("table", help="shape-grouped charge generating polynomials")
-    p_table.add_argument("--k", type=int, default=None)
+    p_table.add_argument("--k", type=_int_arg, default=None)
     p_table.add_argument("--weight", required=True)
     p_table.add_argument("--shape", default=None, help="restrict to one shape")
     p_table.add_argument("--classical", action="store_true",
@@ -71,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table)
 
     p_verify = sub.add_parser("verify", help="sweep identities over all small k-tableaux")
-    p_verify.add_argument("--max-k", type=int, required=True)
-    p_verify.add_argument("--max-weight", type=int, required=True)
+    p_verify.add_argument("--max-k", type=_int_arg, required=True)
+    p_verify.add_argument("--max-weight", type=_int_arg, required=True)
     add_common(p_verify)
 
     return parser
@@ -119,7 +127,7 @@ def _read_tableau(source: str):
 def _stat_payload(tab) -> dict:
     reports = sequence_reports(tab)
     mu = Partition(tab.weight)
-    interior = len(k_interior(tab.shape, tab.k))
+    interior = tab.shape.size() - k_bounded_hooks(tab.shape, tab.k)
     return {
         "k": tab.k,
         "shape": list(tab.shape),
@@ -247,7 +255,7 @@ def _threads() -> int:
     """Worker count from KCHARGE_THREADS (unset or empty means 1)."""
     text = os.environ.get("KCHARGE_THREADS", "1") or "1"
     try:
-        threads = int(text)
+        threads = _parse_digits(text, "KCHARGE_THREADS")
     except ValueError:
         threads = 0
     if threads < 1:

@@ -26,6 +26,15 @@ def _strict_int(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _parse_digits(text: str, what: str) -> int:
+    """The integer spelled by text, which must be ASCII digits 0-9 only;
+    int() would also take a sign, underscores, surrounding spaces and
+    non-ASCII digits."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be written in digits 0-9, got {text!r}")
+    return int(text)
+
+
 class Cell(NamedTuple):
     row: int
     col: int
@@ -101,7 +110,7 @@ def parse_partition(text: str) -> Partition:
     body = s[1:-1].strip()
     if not body:
         return Partition()
-    return Partition(int(p) for p in body.split(","))
+    return Partition(_parse_digits(p.strip(), "partition part") for p in body.split(","))
 
 
 def partition_sort_key(shape: Partition) -> tuple:
@@ -131,14 +140,21 @@ def hook_length(shape: Partition, cell: Cell) -> int:
     return arm + leg + 1
 
 
-def cell_with_hook(shape: Partition, n: int) -> Cell | None:
-    """The first cell, bottom row first and left to right within a row,
-    whose hook length is exactly n; None if there is none."""
+def _hook_lengths(shape: Partition) -> Iterator[tuple[int, int, int]]:
+    """(row, col, arm + leg + 1) of every cell, bottom row first and left
+    to right within a row; the one hook-length loop of the module."""
     conj = shape.conjugate()
     for i, part in enumerate(shape, start=1):
         for j in range(1, part + 1):
-            if (part - j) + (conj[j - 1] - i) + 1 == n:
-                return Cell(i, j)
+            yield i, j, (part - j) + (conj[j - 1] - i) + 1
+
+
+def cell_with_hook(shape: Partition, n: int) -> Cell | None:
+    """The first cell, bottom row first and left to right within a row,
+    whose hook length is exactly n; None if there is none."""
+    for i, j, hook in _hook_lengths(shape):
+        if hook == n:
+            return Cell(i, j)
     return None
 
 
@@ -184,18 +200,14 @@ def k_interior(shape: Partition, k: int) -> frozenset[Cell]:
     """Cells with hook length exceeding k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    conj = shape.conjugate()
-    return frozenset(
-        Cell(i, j)
-        for i, part in enumerate(shape, start=1)
-        for j in range(1, part + 1)
-        if (part - j) + (conj[j - 1] - i) + 1 > k
-    )
+    return frozenset(Cell(i, j) for i, j, hook in _hook_lengths(shape) if hook > k)
 
 
 def k_bounded_hooks(shape: Partition, k: int) -> int:
     """Number of cells with hook length at most k."""
-    return shape.size() - len(k_interior(shape, k))
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return sum(hook <= k for _, _, hook in _hook_lengths(shape))
 
 
 def n_stat(mu: Partition) -> int:

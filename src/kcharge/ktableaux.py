@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .cores import (
     Cell,
     Partition,
+    _parse_digits,
     _strict_int,
     add_residue_class,
     addable_corners,
@@ -38,11 +38,16 @@ class KTableau:
     conditions, so that candidate fillings can be built and then rejected.
     `k` and the letters must be integers: bools, floats and strings are
     rejected rather than coerced.
+
+    Two indexes are built on first use and then shared by every reader:
+    letter -> cells (`cells_of`), and for each letter present the map
+    residue -> that letter's cells of the residue (read by `weight`,
+    `residues_of`, `validate` and `standard_sequences`).  Both have one key
+    per letter present, so a huge letter costs no more than a small one.
     """
 
-    # _by_letter is the letter -> cells index, built on first use; it is
-    # derived from rows, so equality and hashing ignore it.
-    __slots__ = ("k", "rows", "shape", "_by_letter")
+    # Both indexes are derived from rows, so equality and hashing ignore them.
+    __slots__ = ("k", "rows", "shape", "_by_letter", "_by_residue")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
         self.k = _strict_int(k, "k")
@@ -58,6 +63,7 @@ class KTableau:
                     raise ValueError(f"letters must be positive, got {x}")
         self.shape = Partition(len(row) for row in self.rows)
         self._by_letter: dict[int, tuple[Cell, ...]] | None = None
+        self._by_residue: dict[int, dict[int, frozenset[Cell]]] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -82,6 +88,21 @@ class KTableau:
             self._by_letter = {x: tuple(cells) for x, cells in index.items()}
         return self._by_letter
 
+    def _residue_index(self) -> dict[int, dict[int, frozenset[Cell]]]:
+        """letter -> (residue -> the letter's cells of that residue), residues
+        in order of first cell.  Only letters present are keys, so the index
+        is no larger than the tableau, whatever its largest letter."""
+        if self._by_residue is None:
+            n = self.k + 1
+            index = {}
+            for letter, cells in self._letter_index().items():
+                by_res: dict[int, list[Cell]] = {}
+                for cell in cells:
+                    by_res.setdefault((cell.col - cell.row) % n, []).append(cell)
+                index[letter] = {r: frozenset(cs) for r, cs in by_res.items()}
+            self._by_residue = index
+        return self._by_residue
+
     @property
     def n_letters(self) -> int:
         return max(self._letter_index(), default=0)
@@ -89,9 +110,8 @@ class KTableau:
     @property
     def weight(self) -> tuple[int, ...]:
         """Number of distinct residues spanned by each letter 1..n_letters."""
-        return tuple(
-            len(self.residues_of(i)) for i in range(1, self.n_letters + 1)
-        )
+        index = self._residue_index()
+        return tuple(len(index.get(x, ())) for x in range(1, self.n_letters + 1))
 
     def letter(self, cell: Cell) -> int:
         if not self.shape.contains(cell):
@@ -105,8 +125,7 @@ class KTableau:
         return self._letter_index().get(letter, ())
 
     def residues_of(self, letter: int) -> frozenset[int]:
-        n = self.k + 1
-        return frozenset(residue(c, n) for c in self._letter_index().get(letter, ()))
+        return frozenset(self._residue_index().get(letter, ()))
 
     def reading_word(self) -> tuple[int, ...]:
         """Letters read bottom-to-top, left-to-right; used for canonical order."""
@@ -160,13 +179,14 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
                     False, "column fails to increase bottom-to-top", Cell(i + 1, j)
                 )
     by_letter = tab._letter_index()
+    classes = tab._residue_index()
     r = tab.n_letters
     total = 0
     for letter in range(1, r + 1):
         cells = by_letter.get(letter)
         if not cells:
             return ValidationReport(False, f"letter {letter} is missing", None)
-        spanned = len({residue(c, n) for c in cells})
+        spanned = len(classes[letter])
         total += spanned
         if spanned > tab.k:
             return ValidationReport(
@@ -224,16 +244,12 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     every following letter, picks the unused residue class closest to the
     previous entry's residue reading counter-clockwise on a clock labelled
     0..k clockwise, i.e. minimising (prev - candidate) mod (k+1).  An entry
-    consists of all cells carrying that letter and residue.
+    consists of all cells carrying that letter and residue: one class of
+    the tableau's residue-class index, shared with `weight` and `validate`.
     """
     n = tab.k + 1
-    by_letter = tab._letter_index()
-    groups: list[dict[int, frozenset[Cell]]] = []
-    for letter in range(1, tab.n_letters + 1):
-        by_res: dict[int, list[Cell]] = {}
-        for cell in by_letter.get(letter, ()):
-            by_res.setdefault(residue(cell, n), []).append(cell)
-        groups.append({r: frozenset(cs) for r, cs in by_res.items()})
+    index = tab._residue_index()
+    groups = [index.get(x, {}) for x in range(1, tab.n_letters + 1)]
     weight = tuple(len(g) for g in groups)
     for a, b in zip(weight, weight[1:]):
         if a < b:
@@ -415,9 +431,6 @@ def enumerate_k_tableaux(
     return sorted(found, key=_tableau_sort_key)
 
 
-_ENTRY_RE = re.compile(r"^(\d+)(?:_(\d+))?$")
-
-
 def to_text(tab: KTableau) -> str:
     """Text form: "k=<k>" header, then one row per line, top row first,
     entries "letter_residue"."""
@@ -432,29 +445,32 @@ def to_text(tab: KTableau) -> str:
 
 
 def parse_text(text: str) -> KTableau:
-    """Inverse of `to_text`; the residue suffix is optional but checked."""
+    """Inverse of `to_text`; the residue suffix is optional but checked.
+    k, letters and residues must be written in ASCII digits 0-9."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("k="):
         raise ValueError("missing k=<k> header line")
     try:
-        k = int(lines[0][2:])
+        k = _parse_digits(lines[0][2:], "k")
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}") from None
     rows_top_first = []
     for ln in lines[1:]:
         row = []
         for token in ln.split():
-            m = _ENTRY_RE.match(token)
-            if not m:
-                raise ValueError(f"bad entry {token!r}")
-            row.append((int(m.group(1)), m.group(2)))
+            letter, sep, res = token.partition("_")
+            try:
+                x = _parse_digits(letter, "letter")
+                row.append((x, _parse_digits(res, "residue") if sep else None))
+            except ValueError:
+                raise ValueError(f"bad entry {token!r}") from None
         rows_top_first.append(row)
     rows = [[x for x, _ in row] for row in reversed(rows_top_first)]
     tab = KTableau(k, rows)
     n = k + 1
     for i, row in enumerate(reversed(rows_top_first), start=1):
         for j, (_, res) in enumerate(row, start=1):
-            if res is not None and int(res) != residue(Cell(i, j), n):
+            if res is not None and res != residue(Cell(i, j), n):
                 raise ValueError(
                     f"entry at row {i}, col {j} claims residue {res}, "
                     f"expected {residue(Cell(i, j), n)}"

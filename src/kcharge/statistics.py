@@ -17,11 +17,13 @@ integer polynomials in t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .cores import (
     Cell,
     Partition,
+    _parse_digits,
     _strict_int,
     n_stat,
     partition_sort_key,
@@ -49,8 +51,13 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
     cell is the lower.
     """
-    gap = abs(c1.diagonal - c2.diagonal)
-    return (gap - 1) // (k + 1) if gap else 0
+    return _diags_between(c1.diagonal, c2.diagonal, k + 1)
+
+
+def _diags_between(d1: int, d2: int, n: int) -> int:
+    """`diag` on two diagonal indices, with modulus n = k+1."""
+    gap = abs(d1 - d2)
+    return (gap - 1) // n if gap else 0
 
 
 def lowest_addable(cells: Iterable[Cell]) -> Cell:
@@ -136,26 +143,42 @@ class SequenceReport:
         return sum(self.J) + sum(self.diag_add_high)
 
 
+@cache
+def _residue_orders(n: int) -> tuple[tuple[ResidueOrder, ...], tuple[ResidueOrder, ...]]:
+    """The n low and the n high residue orders mod n, indexed by pivot;
+    built once per modulus and shared by every walk."""
+    return (
+        tuple(ResidueOrder(n, p, "low") for p in range(n)),
+        tuple(ResidueOrder(n, p, "high") for p in range(n)),
+    )
+
+
 def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """Every per-letter vector of one standard sequence, in one pass.
 
     The restriction of the sequence to letters <= i is never built: its
-    lowest addable cell depends only on the right-most bottom-row column
-    among those letters, and its highest addable cell only on their top
-    row, so two running maxima stand in for it.  L and I still follow the
-    signed diag-to-previous rule and M and J the cyclic residue orders, so
-    the two formulations remain independent computations.
+    lowest addable cell is (1, c+1) for the right-most bottom-row column c
+    among those letters, and its highest addable cell (r+1, 1) for their
+    top row r, so two running maxima stand in for it.  Only their diagonals
+    and residues are used: the addable cells sit on diagonals c and -r,
+    which pick the pivots c mod k+1 and -r mod k+1 of the low and high
+    residue orders, taken from the per-modulus `_residue_orders`.  Each
+    diag count is taken on the two diagonals (`_diags_between`).  L and I
+    still follow the signed diag-to-previous rule and M and J the cyclic
+    residue orders, so the two formulations remain independent
+    computations.
 
     Raises ValueError when letter 1 has no bottom-row cell, which no
     k-tableau allows, whichever formulation the caller reads.
     """
     n = k + 1
+    lows, highs = _residue_orders(n)
     L, M, I, J = [0], [0], [0], [0]
     d_prev_low, d_prev_high = [0], [0]
     d_add_low, d_add_high = [], []
     low_orders: list[ResidueOrder | None] = [None]
     high_orders: list[ResidueOrder | None] = [None]
-    bottom_col = top_row = 0
+    bottom_col = top_row = prev_low_diag = prev_high_diag = 0
     prev_low = prev_high = prev_res = None
     for e in seq.entries:
         low, high = min(e.cells), max(e.cells)
@@ -164,24 +187,26 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
                 bottom_col = c.col
         if not bottom_col:
             raise ValueError("cell set has no bottom-row cell")
-        top_row = max(top_row, high.row)
-        low_add, high_add = Cell(1, bottom_col + 1), Cell(top_row + 1, 1)
-        d_add_low.append(diag(low, low_add, k))
-        d_add_high.append(diag(high, high_add, k))
+        if high.row > top_row:
+            top_row = high.row
+        low_diag, high_diag = low.col - low.row, high.col - high.row
+        d_add_low.append(_diags_between(low_diag, bottom_col, n))
+        d_add_high.append(_diags_between(high_diag, -top_row, n))
         if prev_res is not None:
-            d = diag(low, prev_low, k)
+            d = _diags_between(low_diag, prev_low_diag, n)
             d_prev_low.append(d)
             L.append(L[-1] + 1 + d if prev_low.row < low.row else L[-1] - d)
-            d = diag(high, prev_high, k)
+            d = _diags_between(high_diag, prev_high_diag, n)
             d_prev_high.append(d)
             I.append(I[-1] + 1 + d if high.col > prev_high.col else I[-1] - d)
-            order = ResidueOrder(n, residue(low_add, n), "low")
+            order = lows[bottom_col % n]
             low_orders.append(order)
             M.append(M[-1] + 1 if order.greater(e.residue, prev_res) else M[-1])
-            order = ResidueOrder(n, residue(high_add, n), "high")
+            order = highs[-top_row % n]
             high_orders.append(order)
             J.append(J[-1] + 1 if order.greater(e.residue, prev_res) else J[-1])
         prev_low, prev_high, prev_res = low, high, e.residue
+        prev_low_diag, prev_high_diag = low_diag, high_diag
     return SequenceReport(
         letters=tuple(e.letter for e in seq.entries),
         residues=seq.residues(),
@@ -284,6 +309,14 @@ class TPolynomial:
             self._coeffs = {e: c for e, c in self._coeffs.items() if c}
 
     @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "TPolynomial":
+        """Adopt coeffs without validation; only for a map of int exponents
+        >= 0 to non-zero int coefficients, such as a sum of polynomials."""
+        poly = cls.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
+
+    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "TPolynomial":
         return cls({exponent: coefficient})
 
@@ -297,7 +330,7 @@ class TPolynomial:
         merged = dict(self._coeffs)
         for e, c in other._coeffs.items():
             merged[e] = merged.get(e, 0) + c
-        return TPolynomial(merged)
+        return TPolynomial._trusted({e: c for e, c in merged.items() if c})
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -328,7 +361,9 @@ class TPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "TPolynomial":
-        return cls({int(e): c for e, c in data.items()})
+        """Inverse of `to_json_dict`: exponents are keys written in ASCII
+        digits 0-9, coefficients JSON integers."""
+        return cls({_parse_digits(e, "exponent"): c for e, c in data.items()})
 
 
 def charge_table(

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -186,6 +187,16 @@ def test_stat_invalid_tableau_exits_3():
     assert "invalid tableau" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "stdin", ["k=3\n1 1000000000\n", '{"k": 3, "rows": [[1, 1000000000]]}']
+)
+def test_stat_huge_letter_exits_3_at_once(stdin):
+    result = run_cli("stat", "-", stdin=stdin)
+    assert result.returncode == 3
+    assert result.stderr == "invalid tableau: letter 2 is missing\n"
+    assert result.stdout == ""
+
+
 def test_table_weight_321():
     result = run_cli("table", "--k", "3", "--weight", "3,2,1")
     assert result.returncode == 0
@@ -241,15 +252,50 @@ def test_verify_json_and_threads_env():
 
 
 def test_verify_pins_identity_count(monkeypatch, capsys):
-    # A dropped or merged identity check changes the count.
+    # A dropped or merged identity check changes the count; 5/7 is the
+    # benchmark's verify input.
     monkeypatch.delenv("KCHARGE_THREADS", raising=False)
-    assert cli.main(["verify", "--max-k", "4", "--max-weight", "6"]) == 0
-    assert capsys.readouterr().out == (
-        "tableaux checked: 307\nidentities checked: 7708\nresult: PASS\n"
-    )
+    pinned = (("4", "6", 307, 7708), ("5", "7", 1211, 33786))
+    for max_k, max_weight, tableaux, identities in pinned:
+        assert cli.main(["verify", "--max-k", max_k, "--max-weight", max_weight]) == 0
+        assert capsys.readouterr().out == (
+            f"tableaux checked: {tableaux}\nidentities checked: {identities}\nresult: PASS\n"
+        )
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an option value
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--k", "3", "--weight", "2,1", "--shape", " 2_1"],
+        ["table", "--k", "3", "--weight", "2,1", "--shape", "+3"],
+        ["enumerate", "--k", "3", "--weight", "2,1 "],
+        ["enumerate", "--k", "3", "--weight", "\u0662,1"],
+        ["enumerate", "--k", "+3", "--weight", "2,1"],
+        ["enumerate", "--k", "3_0", "--weight", "2,1"],
+        ["table", "--k", " 3", "--weight", "2,1"],
+        ["verify", "--max-k", "\u0662", "--max-weight", "2"],
+        ["verify", "--max-k", "2", "--max-weight", "+2"],
+        ["stat", "-"],
+    ],
+)
+def test_integers_take_only_ascii_digits(monkeypatch, capsys, argv):
+    # int() would read every one of these; stat reads "k=+3" from stdin.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("k=+3\n1_0\n"))
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", "+2", "1_0"])
 def test_verify_rejects_bad_threads_env(monkeypatch, capsys, value):
     monkeypatch.setenv("KCHARGE_THREADS", value)
     assert cli.main(["verify", "--max-k", "2", "--max-weight", "2"]) == 2

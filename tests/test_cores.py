@@ -83,6 +83,10 @@ def test_partition_text_form():
     assert parse_partition("()") == Partition()
     with pytest.raises(ValueError):
         parse_partition("7,3")
+    # Parts are ASCII digits: no sign, underscore or other digit script.
+    for text in ("(+7,3)", "(7,1_0)", "(\u0667,3)"):
+        with pytest.raises(ValueError, match="digits 0-9"):
+            parse_partition(text)
 
 
 def test_conjugate():
@@ -192,6 +196,13 @@ def test_k_bounded_hooks_known():
     assert k_bounded_hooks(Partition([5, 2, 1]), 3) == 6
     assert k_bounded_hooks(Partition([6, 2, 2, 1]), 4) == 9
     assert k_bounded_hooks(Partition(), 3) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_k_bounded_hooks_counts_hooks_of_cores(n):
+    for shape in enumerate_cores(n, 8):
+        for k in range(1, n + 2):
+            assert k_bounded_hooks(shape, k) == shape.size() - len(k_interior(shape, k))
 
 
 def test_n_stat_known():

@@ -83,6 +83,16 @@ def test_validate_rejects_missing_letter():
     assert "letter 2 is missing" in report.problem
 
 
+def test_validate_stops_at_a_missing_letter_below_a_huge_one():
+    # The indexes hold only the letters present, so a letter of 10^9 costs
+    # no more than a letter of 3.
+    tab = KTableau(3, [[1, 10**9]])
+    report = validate(tab)
+    assert not report.ok
+    assert report.problem == "letter 2 is missing"
+    assert len(tab._residue_index()) == 2
+
+
 def test_validate_counts_residue_classes():
     # semistandard on a 4-core, but the letter residue classes sum to 7
     # while (5,2,1) has only 6 3-bounded hooks
@@ -429,7 +439,7 @@ def test_ktableau_rejects_non_integer_k_and_letters():
 
 def test_letter_index_is_lazy_and_outside_equality(tab_semistandard_13):
     tabs = enumerate_k_tableaux(3, (2, 2, 1))
-    assert all(t._by_letter is None for t in tabs)
+    assert all(t._by_letter is None and t._by_residue is None for t in tabs)
     copy = KTableau(tab_semistandard_13.k, tab_semistandard_13.rows)
     scanned = {
         x: tuple(
@@ -442,5 +452,49 @@ def test_letter_index_is_lazy_and_outside_equality(tab_semistandard_13):
     }
     assert {x: tab_semistandard_13.cells_of(x) for x in range(1, 8)} == scanned
     assert tab_semistandard_13.cells_of(99) == ()
+    n = copy.k + 1
+    classes = tab_semistandard_13._residue_index()
+    for x in range(1, 8):
+        # Residues in order of first cell, each with the letter's cells of it.
+        first_seen = list(dict.fromkeys(residue(c, n) for c in scanned[x]))
+        assert list(classes[x]) == first_seen
+        assert classes[x] == {
+            r: frozenset(c for c in scanned[x] if residue(c, n) == r) for r in first_seen
+        }
+        assert tab_semistandard_13.residues_of(x) == frozenset(first_seen)
+    assert sorted(classes) == list(range(1, 8))
+    assert tab_semistandard_13.weight == tuple(len(classes[x]) for x in range(1, 8))
+    assert tab_semistandard_13.residues_of(0) == tab_semistandard_13.residues_of(99) == frozenset()
+    # A missing letter has no key and spans no residue.
+    gap = KTableau(2, [[1, 3]])
+    assert gap._residue_index() == {
+        1: {0: frozenset({Cell(1, 1)})},
+        3: {1: frozenset({Cell(1, 2)})},
+    }
+    assert gap.weight == (1, 0, 1) and gap.residues_of(2) == frozenset()
     assert copy._by_letter is None and tab_semistandard_13._by_letter is not None
+    assert copy._by_residue is None and tab_semistandard_13._by_residue is not None
     assert copy == tab_semistandard_13 and hash(copy) == hash(tab_semistandard_13)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "k=+3\n1_0\n",
+        "k= 3\n1_0\n",
+        "k=1_0\n1_0\n",
+        "k=\u0663\n1_0\n",
+        "k=3\n+1_0\n",
+        "k=3\n1_+0\n",
+        "k=3\n1_0_0\n",
+        "k=3\n1_\n",
+        "k=3\n\u0661_0\n",
+        "k=3\n1_\u0660\n",
+        "k=3\n\uff11_0\n",
+    ],
+)
+def test_parse_text_takes_only_ascii_digits(text):
+    # int() would read each of these: signs, spaces, underscores and
+    # non-ASCII digits.
+    with pytest.raises(ValueError, match="bad header|bad entry"):
+        parse_text(text)

@@ -262,10 +262,31 @@ def test_tpolynomial_arithmetic():
         TPolynomial({-1: 2})
 
 
+def test_tpolynomial_sum_does_not_revalidate(monkeypatch):
+    # Each tableau's checked monomial costs two checks; the running sums
+    # cost none.
+    calls = []
+    original = statistics._strict_int
+
+    def counting(value, what):
+        calls.append(what)
+        return original(value, what)
+
+    monkeypatch.setattr(statistics, "_strict_int", counting)
+    table = charge_table(4, (1,) * 8)
+    tableaux = sum(c for poly in table.values() for _, c in poly.items())
+    assert tableaux == len(enumerate_k_tableaux(4, (1,) * 8)) == 218
+    assert len(calls) == 2 * tableaux
+
+
 def test_tpolynomial_json_round_trip():
     p = TPolynomial({0: 1, 4: 7})
     assert p.to_json_dict() == {"0": 1, "4": 7}
     assert TPolynomial.from_json_dict(p.to_json_dict()) == p
+    # Exponent keys are ASCII digits only, as everywhere integers are text.
+    for key in ("+1", " 1", "1_0", "\u0661", "-1", 1):
+        with pytest.raises(ValueError, match="exponent must be written in digits 0-9"):
+            TPolynomial.from_json_dict({key: 2})
 
 
 def test_tpolynomial_rejects_non_integer_terms():
@@ -333,6 +354,23 @@ def test_sequence_reports_equal_literal_definitions():
             assert sequence_reports(tab) == literal, tab
             checked += 1
     assert checked > 600
+
+
+def test_second_walk_builds_no_residue_order(monkeypatch, tab_semistandard_13):
+    # The orders of a modulus are built once and shared by every walk.
+    seq = max(standard_sequences(tab_semistandard_13), key=len)
+    first = statistics._walk(seq, tab_semistandard_13.k)
+    built = []
+    original = ResidueOrder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidueOrder, "__init__", counting)
+    assert statistics._walk(seq, tab_semistandard_13.k) == first
+    assert built == []
+    assert len(first.low_orders) == len(seq) > 2
 
 
 @pytest.mark.parametrize("formulation", ["lp", "morse"])
