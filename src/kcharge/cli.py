@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .cores import Partition, _parse_digits, k_bounded_hooks, n_stat
+from .cores import Partition, _hook_facts, _parse_digits, n_stat
 from .ktableaux import (
     enumerate_k_tableaux,
     parse_json_dict,
@@ -127,7 +127,7 @@ def _read_tableau(source: str):
 def _stat_payload(tab) -> dict:
     reports = sequence_reports(tab)
     mu = Partition(tab.weight)
-    interior = tab.shape.size() - k_bounded_hooks(tab.shape, tab.k)
+    interior = tab.shape.size() - _hook_facts(tab.shape, tab.k + 1)[1]
     return {
         "k": tab.k,
         "shape": list(tab.shape),

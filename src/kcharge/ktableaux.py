@@ -15,11 +15,11 @@ from typing import Iterable, Iterator, Sequence
 from .cores import (
     Cell,
     Partition,
+    _hook_facts,
     _parse_digits,
     _strict_int,
     add_residue_class,
     addable_corners,
-    cell_with_hook,
     k_bounded_hooks,
     enumerate_cores,
     partition_sort_key,
@@ -164,7 +164,7 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     and only its total is checked against the k-bounded hook count.
     """
     n = tab.k + 1
-    cell = cell_with_hook(tab.shape, n)
+    cell, hooks = _hook_facts(tab.shape, n)
     if cell is not None:
         return ValidationReport(False, f"shape {tab.shape} is not a {n}-core", cell)
     conj = tab.shape.conjugate()
@@ -202,7 +202,6 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
                 )
     if weight is not None and r != len(weight):
         return ValidationReport(False, f"{r} letters, expected {len(weight)}", None)
-    hooks = k_bounded_hooks(tab.shape, tab.k)
     if total != hooks:
         return ValidationReport(
             False,
@@ -405,8 +404,9 @@ def enumerate_k_tableaux(
 ) -> list[KTableau]:
     """All k-tableaux of the given weight (and shape, if supplied).
 
-    The weight may be any composition with parts between 1 and k; its
-    parts must be integers (bools, floats and strings raise ValueError).
+    k must be a positive integer, and the weight any composition with
+    parts between 1 and k; k and the parts must be integers (bools, floats
+    and strings raise ValueError), checked before anything is grown.
     Output is in canonical order: by shape (size, then
     reverse-lexicographic), then by bottom-to-top left-to-right reading
     word.
@@ -417,6 +417,9 @@ def enumerate_k_tableaux(
     "oracle" brute-forces all fillings of all candidate core shapes and
     filters by `validate`.  Both return identical sets.
     """
+    k = _strict_int(k, "k")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     weight = tuple(_strict_int(a, "weight part") for a in weight)
     if any(a < 1 for a in weight):
         raise ValueError(f"weight parts must be positive, got {weight}")

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 from .cores import (
     Cell,
     Partition,
+    _hook_facts,
     addable_corners,
     is_n_core,
-    k_bounded_hooks,
     n_stat,
     partitions,
     removable_corners,
@@ -69,24 +68,17 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
     ]
 
 
-@lru_cache(maxsize=4096)
-def _restriction_is_core(counts: tuple[int, ...], n: int) -> bool:
-    """Whether the shape with these row counts is an n-core.  Restriction
-    shapes repeat across the tableaux of a sweep (134 distinct among the
-    6,268 checks of `verify --max-k 5 --max-weight 7`, 331 among 91,698 at
-    6/9), so each verdict is computed once while it stays among the 4,096
-    most recent; a non-partition raises on every call, as exceptions are
-    not cached."""
-    return is_n_core(Partition(counts), n)
-
-
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
     Returns (number of identities checked, failures).  Each identity's
-    detail text is rendered only when that identity fails.
+    detail text is rendered only when that identity fails.  The per-letter
+    checks carry their state from letter to letter (each row's count of
+    letters so far, each residue's diagonals so far), so every cell is read
+    once per rule.
     """
     k = tab.k
+    n = k + 1
     mu = Partition(tab.weight)
     lam = tab.shape
     checked = 0
@@ -105,7 +97,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     charge_lp = sum(r.charge_lp() for r in reports)
     charge_morse = sum(r.charge_morse() for r in reports)
     # The k-interior's size; its cells are never read.
-    interior = lam.size() - k_bounded_hooks(lam, k)
+    interior = lam.size() - _hook_facts(lam, n)[1]
 
     expect(
         "cocharge formulations agree",
@@ -135,12 +127,15 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             lambda: f"terms {terms_low} / {terms_high}",
         )
 
+    # The restriction to letters <= i keeps each row's count of them.
+    row_counts = [0] * len(tab.rows)
     for i in range(1, tab.n_letters + 1):
-        # The restriction to letters <= i keeps each row's count of them.
-        counts = tuple(c for c in (sum(x <= i for x in row) for row in tab.rows) if c)
+        for c in tab.cells_of(i):
+            row_counts[c.row - 1] += 1
+        counts = tuple(filter(None, row_counts))
         expect(
             "restriction is a core",
-            _restriction_is_core(counts, k + 1),
+            _hook_facts(counts, n)[0] is None,
             lambda: f"restriction to {i} has shape {Partition(counts)}",
         )
 
@@ -156,7 +151,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             cols = [c.col for c in e.cells]
             expect(
                 "entry occupies one residue, distinct rows and columns",
-                len(set(residue(c, k + 1) for c in e.cells)) == 1
+                len({(c.col - c.row) % n for c in e.cells}) == 1
                 and len(set(rows)) == len(rows)
                 and len(set(cols)) == len(cols),
                 lambda: f"letter {e.letter} cells {sorted(e.cells)}",
@@ -179,31 +174,30 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             lambda: f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
         )
         d_low, d_high = report.diag_add_low, report.diag_add_high
+        # residue -> the diagonals of that residue met by letters <= i.
+        meeting: dict[int, set[int]] = {}
         for i in range(1, m + 1):
             up, down = highest_occurrence(seq, i), lowest_occurrence(seq, i)
-            res = residue(up, k + 1)
+            res = residue(up, n)
             letter_diags = {c.diagonal for c in tab.cells_of(i)}
+            for d in letter_diags:
+                meeting.setdefault(d % n, set()).add(d)
             between = [
                 d
                 for d in range(min(up.diagonal, down.diagonal) + 1, max(up.diagonal, down.diagonal))
-                if d % (k + 1) == res
+                if d % n == res
             ]
             expect(
                 "diagonal filling between extremes",
                 all(d in letter_diags for d in between),
                 lambda: f"letter {i} misses a residue-{res} diagonal in {between}",
             )
-            meeting = {
-                c.diagonal
-                for j in range(1, i + 1)
-                for c in tab.cells_of(j)
-                if c.diagonal % (k + 1) == res
-            }
+            met = len(meeting.get(res, ()))
             count = len(tab.cells_of(i)) + d_high[i - 1] + d_low[i - 1]
             expect(
                 "diagonal count through the restriction",
-                count == len(meeting),
-                lambda: f"letter {i}: {count} != {len(meeting)}",
+                count == met,
+                lambda: f"letter {i}: {count} != {met}",
             )
 
     if k > (lam[0] if lam else 0) + len(lam) - 2:
@@ -226,7 +220,12 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
 def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     k, weight = args
     report = SweepReport()
-    for tab in enumerate_k_tableaux(k, weight):
+    # Popped one at a time, so each tableau and its indexes are freed once
+    # checked, in canonical order.
+    tableaux = enumerate_k_tableaux(k, weight)
+    tableaux.reverse()
+    while tableaux:
+        tab = tableaux.pop()
         ok = validate(tab, weight)
         report.identities_checked += 1
         if not ok:

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from kcharge.cores import (
     Cell,
     Partition,
+    _hook_facts,
     add_residue_class,
+    cell_with_hook,
     addable_corners,
     enumerate_cores,
     hook_length,
@@ -203,6 +205,28 @@ def test_k_bounded_hooks_counts_hooks_of_cores(n):
     for shape in enumerate_cores(n, 8):
         for k in range(1, n + 2):
             assert k_bounded_hooks(shape, k) == shape.size() - len(k_interior(shape, k))
+
+
+def test_hook_facts_equal_the_public_hook_functions():
+    # One pass gives what cell_with_hook and k_bounded_hooks give apart,
+    # the same from a cold cache, a warm one, and a plain tuple key.
+    _hook_facts.cache_clear()
+    shapes = list(all_partitions_up_to(10))
+    for warm in (False, True):
+        for shape in shapes:
+            for n in range(2, 8):
+                expected = (cell_with_hook(shape, n), k_bounded_hooks(shape, n - 1))
+                assert _hook_facts(shape, n) == expected
+                assert _hook_facts(tuple(shape), n) == expected
+    assert _hook_facts.cache_info().misses == len(shapes) * 6
+
+
+def test_hook_facts_raise_for_a_non_partition_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            _hook_facts((1, 2), 3)
+        with pytest.raises(ValueError, match="positive"):
+            _hook_facts((2, 0), 3)
 
 
 def test_n_stat_known():

@@ -203,6 +203,21 @@ def test_enumerate_rejects_non_integer_weight_parts(weight):
         enumerate_k_tableaux(3, weight)
 
 
+@pytest.mark.parametrize(
+    "k,weight,shape",
+    [
+        (2.5, (1,), Partition((5,))),
+        (2.0, (1, 1), Partition((9,))),
+        (True, (1,), None),
+        ("3", (1,), None),
+        (0, (), None),
+    ],
+)
+def test_enumerate_checks_k_before_growing(k, weight, shape):
+    with pytest.raises(ValueError, match="k must be"):
+        enumerate_k_tableaux(k, weight, shape=shape)
+
+
 def test_enumerate_accepts_partition_weight():
     assert enumerate_k_tableaux(3, Partition([2, 1])) == enumerate_k_tableaux(3, (2, 1))
 
