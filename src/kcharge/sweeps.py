@@ -289,13 +289,6 @@ def run_core_sweep(max_n: int, max_cells: int) -> SweepReport:
                 c for c in lam.cells() if not lam.contains(Cell(c.row + 1, c.col + 1))
             ]
             conj = lam.conjugate()
-
-            def end_of_row(cc, lam=lam):
-                return cc.col == lam[cc.row - 1]
-
-            def top_of_col(cc, conj=conj):
-                return cc.row == conj[cc.col - 1]
-
             for c in extremal:
                 for c2 in extremal:
                     if c2 == c or residue(c, n) != residue(c2, n):
@@ -303,7 +296,7 @@ def run_core_sweep(max_n: int, max_cells: int) -> SweepReport:
                     report.identities_checked += 1
                     nw = c2.row >= c.row and c2.col <= c.col
                     se = c2.row <= c.row and c2.col >= c.col
-                    if nw and end_of_row(c) and not end_of_row(c2):
+                    if nw and c.col == lam[c.row - 1] and c2.col != lam[c2.row - 1]:
                         report.failures.append(
                             SweepFailure(
                                 "extremal propagation along rows",
@@ -311,7 +304,7 @@ def run_core_sweep(max_n: int, max_cells: int) -> SweepReport:
                                 f"n={n} core {lam}",
                             )
                         )
-                    if se and top_of_col(c) and not top_of_col(c2):
+                    if se and c.row == conj[c.col - 1] and c2.row != conj[c2.col - 1]:
                         report.failures.append(
                             SweepFailure(
                                 "extremal propagation along columns",

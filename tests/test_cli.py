@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kcharge import cli
+from kcharge.sweeps import SweepFailure, SweepReport
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
 EX52_TEXT = (
@@ -355,3 +356,126 @@ def test_byte_identical_reruns(args):
     second = run_cli(*args, stdin=stdin)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+README_STAT = "k=3\n3_2\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n"
+README_STAT_TEXT = """\
+k=3 shape=(5,2,1) weight=(2,2,2)
+sequence 1:
+    i res |  dL   L     low order   M  dM |  dI   I    high order   J  dJ
+    1   1 |   0   0             -   0   0 |   0   0             -   0   0
+    2   3 |   0   0 0 > 1 > 2 > 3   0   0 |   0   0 2 > 1 > 0 > 3   0   0
+    3   2 |   1   2 0 > 1 > 2 > 3   1   1 |   0   0 1 > 0 > 3 > 2   0   0
+  sums: L=2 M+d=2 I=0 J+d=0
+sequence 2:
+    i res |  dL   L     low order   M  dM |  dI   I    high order   J  dJ
+    1   0 |   0   0             -   0   0 |   0   0             -   0   0
+    2   2 |   0   0 3 > 0 > 1 > 2   0   0 |   0   1 3 > 2 > 1 > 0   1   0
+    3   0 |   0   0 1 > 2 > 3 > 0   0   0 |   0   1 2 > 1 > 0 > 3   1   0
+  sums: L=0 M+d=0 I=2 J+d=2
+k-cocharge: lp=2 morse=2
+k-charge: lp=2 morse=2
+n(weight) - interior = 6 - 2 = 4
+"""
+TABLE_K4_211_JSON = """\
+{
+  "weight": [
+    2,
+    1,
+    1
+  ],
+  "classical": false,
+  "k": 4,
+  "table": {
+    "(4)": {
+      "3": 1
+    },
+    "(3,1)": {
+      "1": 1,
+      "2": 1
+    },
+    "(2,2)": {
+      "1": 1
+    },
+    "(2,1,1)": {
+      "0": 1
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,expected",
+    [
+        (["stat", "-"], README_STAT, README_STAT_TEXT),
+        (["table", "--k", "4", "--weight", "2,1,1", "--format", "json"], "", TABLE_K4_211_JSON),
+        (
+            ["table", "--classical", "--weight", "2,1,1"],
+            "",
+            "(4): t^3\n(3,1): t + t^2\n(2,2): t\n(2,1,1): 1\n",
+        ),
+        (
+            ["table", "--k", "3", "--weight", "3,2,1", "--formulation", "lp"],
+            "",
+            "(5,2,1): 1\n(6,3): t\n",
+        ),
+    ],
+    ids=["stat-readme", "table-json", "table-classical", "table-lp"],
+)
+def test_golden_stdout(monkeypatch, capsys, argv, stdin, expected):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
+def test_stat_malformed_json_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"k": 3, "rows": [[1, 2]'))
+    assert cli.main(["stat", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad JSON: ")
+
+
+def test_enumerate_rejects_a_zero_weight_part(capsys):
+    assert cli.main(["enumerate", "--k", "3", "--weight", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight parts must be positive, got '0,1'\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_failure_output_lists_ten_counterexamples(monkeypatch, capsys, fmt):
+    # The sweep is stubbed: a real failing range would change its output
+    # once the formulations are mended.
+    failures = [
+        SweepFailure(f"identity {i}", f"detail {i}", f"k=3\n{i}_0\n") for i in range(12)
+    ]
+    monkeypatch.setattr(
+        cli,
+        "run_statistics_sweep",
+        lambda max_k, max_weight, processes: SweepReport(40, 500, list(failures)),
+    )
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert cli.main(["verify", "--max-k", "3", "--max-weight", "4", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["tableaux_checked"] == 40
+        assert payload["identities_checked"] == 500
+        assert payload["pass"] is False
+        assert payload["failures"] == [
+            {"identity": f.identity, "detail": f.detail, "context": f.context}
+            for f in failures[:10]
+        ]
+        return
+    lines = out.splitlines()
+    assert lines[:3] == ["tableaux checked: 40", "identities checked: 500", "result: FAIL"]
+    assert len([ln for ln in lines if ln.startswith("counterexample [")]) == 10
+    expected = []
+    for i in range(10):
+        expected += [f"counterexample [identity {i}] detail {i}", "k=3", f"{i}_0"]
+    assert lines[3:] == expected
+    assert out.endswith("\n")

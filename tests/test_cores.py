@@ -194,6 +194,21 @@ def test_bounded_hooks_plus_interior_is_size(lam, k):
     assert k_bounded_hooks(lam, k) + len(k_interior(lam, k)) == lam.size()
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: k_interior(Partition([2, 1]), 0), "k must be positive, got 0"),
+        (lambda: enumerate_cores(1, 3), "core modulus must be at least 2, got 1"),
+        (lambda: enumerate_cores(3, -1), "bound must be non-negative"),
+    ],
+    ids=["interior-k-zero", "core-modulus-one", "negative-bound"],
+)
+def test_rejections_name_the_problem(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_k_bounded_hooks_known():
     assert k_bounded_hooks(Partition([5, 2, 1]), 3) == 6
     assert k_bounded_hooks(Partition([6, 2, 2, 1]), 4) == 9

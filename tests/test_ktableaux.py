@@ -13,14 +13,17 @@ from kcharge.cores import (
     partition_sort_key,
     partitions,
     residue,
+    semistandard_fillings,
 )
 from kcharge.ktableaux import (
     KTableau,
+    ValidationReport,
     _weak_strips,
     enumerate_k_tableaux,
     highest_occurrence,
     lowest_occurrence,
     parse_json,
+    parse_json_dict,
     parse_text,
     restrict_sequence,
     standard_sequences,
@@ -513,3 +516,69 @@ def test_parse_text_takes_only_ascii_digits(text):
     # non-ASCII digits.
     with pytest.raises(ValueError, match="bad header|bad entry"):
         parse_text(text)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: KTableau(0, [[1]]), "k must be positive, got 0"),
+        (lambda: KTableau(3, [[0]]), "letters must be positive, got 0"),
+        (
+            lambda: KTableau(2, [[2, 1]]).restrict_leq(1),
+            "letters <= 1 do not form row prefixes",
+        ),
+        (lambda: parse_json_dict([1]), "expected a JSON object, got list"),
+        (
+            lambda: parse_json_dict({"k": 3, "rows": 5}),
+            "malformed tableau fields: 'int' object is not iterable",
+        ),
+    ],
+    ids=["k-zero", "letter-zero", "not-row-prefixes", "json-list", "rows-not-a-list"],
+)
+def test_rejections_name_the_problem(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "tab,weight,problem,cell",
+    [
+        (KTableau(1, [[1, 1], [2]]), None, "letter 1 spans 2 residues > k=1", Cell(1, 1)),
+        (KTableau(2, [[1]]), (1, 1), "1 letters, expected 2", None),
+    ],
+    ids=["span-exceeds-k", "too-few-letters"],
+)
+def test_validate_names_the_problem_and_cell(tab, weight, problem, cell):
+    assert validate(tab, weight) == ValidationReport(False, problem, cell)
+
+
+def test_oracle_with_a_shape_equals_fast():
+    shape = Partition((3,))
+    fast = enumerate_k_tableaux(3, (2, 1), shape=shape)
+    assert fast == [KTableau(3, [[1, 1, 2]])]
+    assert enumerate_k_tableaux(3, (2, 1), shape=shape, strategy="oracle") == fast
+
+
+def test_standard_sequences_use_every_residue_class():
+    # Every filling with letters 1..4 (valid k-tableau or not) of every
+    # partition of size <= 7: whenever standard_sequences accepts the
+    # weight, its sequences take each (letter, residue) class exactly once.
+    split = 0
+    for k in range(1, 5):
+        for size in range(1, 8):
+            for shape in partitions(size):
+                for rows in semistandard_fillings(shape, 4):
+                    tab = KTableau(k, rows)
+                    try:
+                        seqs = standard_sequences(tab)
+                    except ValueError:
+                        continue
+                    split += 1
+                    taken = [(e.letter, e.residue) for seq in seqs for e in seq.entries]
+                    classes = tab._residue_index()
+                    assert sorted(taken) == sorted((x, r) for x in classes for r in classes[x])
+                    for seq in seqs:
+                        for e in seq.entries:
+                            assert e.cells == classes[e.letter][e.residue]
+    assert split == 708

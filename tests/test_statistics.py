@@ -265,8 +265,8 @@ def test_tpolynomial_arithmetic():
 
 
 def test_tpolynomial_sum_does_not_revalidate(monkeypatch):
-    # Each tableau's checked monomial costs two checks; the running sums
-    # cost none.
+    # Each shape's polynomial is built once from its charge counts, so each
+    # (shape, exponent) term costs two checks and the tableaux cost none.
     calls = []
     original = statistics._strict_int
 
@@ -278,7 +278,8 @@ def test_tpolynomial_sum_does_not_revalidate(monkeypatch):
     table = charge_table(4, (1,) * 8)
     tableaux = sum(c for poly in table.values() for _, c in poly.items())
     assert tableaux == len(enumerate_k_tableaux(4, (1,) * 8)) == 218
-    assert len(calls) == 2 * tableaux
+    terms = sum(len(poly.items()) for poly in table.values())
+    assert len(calls) == 2 * terms == 248
 
 
 def test_tpolynomial_json_round_trip():
