@@ -192,6 +192,26 @@ def residue(cell: Cell, n: int) -> int:
     return (cell.col - cell.row) % n
 
 
+def _corner_residues(parts: Sequence[int], n: int) -> list[int | None]:
+    """The n-residue of the addable corner of each 0-based row 0..len(parts),
+    None for a row that has none; row len(parts) is the new top row.
+
+    Row i is addable when the row below it is longer (row 0 always is), and
+    its corner (i+1, parts[i]+1) has residue (parts[i] - i) % n; the new top
+    row's corner (len(parts)+1, 1) has residue -len(parts) % n.  The one
+    addable-corner rule of the module, on plain integers.
+    """
+    if n < 2:
+        raise ValueError(f"residue modulus must be at least 2, got {n}")
+    residues: list[int | None] = []
+    below = None
+    for i, part in enumerate(parts):
+        residues.append((part - i) % n if below is None or below > part else None)
+        below = part
+    residues.append(-len(parts) % n)
+    return residues
+
+
 def addable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
     """Cells just outside the diagram whose addition leaves a partition.
 
@@ -199,12 +219,12 @@ def addable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
     (len(shape)+1, 1) are always addable.  Returned in ascending row
     order, each with its n-residue.
     """
-    corners: list[Cell] = []
-    for i, part in enumerate(shape, start=1):
-        if i == 1 or shape[i - 2] > part:
-            corners.append(Cell(i, part + 1))
-    corners.append(Cell(len(shape) + 1, 1))
-    return [(c, residue(c, n)) for c in corners]
+    padded = tuple(shape) + (0,)
+    return [
+        (Cell(i + 1, padded[i] + 1), r)
+        for i, r in enumerate(_corner_residues(shape, n))
+        if r is not None
+    ]
 
 
 def removable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
@@ -241,16 +261,16 @@ def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
     For an n-core this yields an n-core again, with one more (n-1)-bounded
     hook.
     """
-    rows = {c.row: c.col for c, r in addable_corners(shape, n) if r == res}
-    if not rows:
-        return None
-    parts = list(shape)
-    for row, col in rows.items():
-        if row > len(parts):
-            parts.append(col)
-        else:
-            parts[row - 1] = col
-    return Partition._trusted(parts)
+    grown = list(shape)
+    filled = False
+    for i, r in enumerate(_corner_residues(shape, n)):
+        if r == res:
+            filled = True
+            if i < len(shape):
+                grown[i] += 1
+            else:
+                grown.append(1)
+    return Partition._trusted(grown) if filled else None
 
 
 def semistandard_fillings(

@@ -15,11 +15,11 @@ from typing import Iterable, Iterator, Sequence
 from .cores import (
     Cell,
     Partition,
+    _corner_residues,
     _hook_facts,
     _parse_digits,
     _strict_int,
     add_residue_class,
-    addable_corners,
     k_bounded_hooks,
     enumerate_cores,
     partition_sort_key,
@@ -29,6 +29,9 @@ from .cores import (
 
 logger = logging.getLogger(__name__)
 
+# The one letter type that needs no per-letter conversion.
+_INT_TYPE = frozenset({int})
+
 
 class KTableau:
     """A letter-filled (k+1)-core shape, rows bottom-first.
@@ -37,7 +40,12 @@ class KTableau:
     letters are positive integers; use `validate` for the full k-tableau
     conditions, so that candidate fillings can be built and then rejected.
     `k` and the letters must be integers: bools, floats and strings are
-    rejected rather than coerced.
+    rejected rather than coerced.  Each row's letters are checked whole:
+    the set of their types must be {int} and their minimum at least 1.
+    Only when some letter is not an `int` (a bool, a float, a string, an
+    int subclass) does each letter go through `_strict_int`.  Every
+    letter's type is checked before any letter's sign, and an error names
+    the first offender in reading order.
 
     Two indexes are built on first use and then shared by every reader:
     letter -> cells (`cells_of`), and for each letter present the map
@@ -53,15 +61,18 @@ class KTableau:
         self.k = _strict_int(k, "k")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        self.rows = tuple(
-            tuple(x if type(x) is int else _strict_int(x, "letter") for x in row)
-            for row in rows
-        )
-        for row in self.rows:
-            for x in row:
-                if x < 1:
-                    raise ValueError(f"letters must be positive, got {x}")
-        self.shape = Partition(len(row) for row in self.rows)
+        rows = tuple(map(tuple, rows))
+        if not all(set(map(type, row)) <= _INT_TYPE for row in rows):
+            rows = tuple(
+                tuple(x if type(x) is int else _strict_int(x, "letter") for x in row)
+                for row in rows
+            )
+        for row in rows:
+            if row and min(row) < 1:
+                bad = next(x for x in row if x < 1)
+                raise ValueError(f"letters must be positive, got {bad}")
+        self.rows = rows
+        self.shape = Partition(map(len, rows))
         self._by_letter: dict[int, tuple[Cell, ...]] | None = None
         self._by_residue: dict[int, dict[int, frozenset[Cell]]] | None = None
 
@@ -326,7 +337,7 @@ def _weak_strips(shape: Partition, n: int, size: int) -> list[Partition]:
     residue first-1, so no run fills x-1 after x.  The added cells thus lie
     in distinct columns, and at most one new row appears.
     """
-    starts = sorted({res for _, res in addable_corners(shape, n)})
+    starts = sorted({res for res in _corner_residues(shape, n) if res is not None})
     strips: list[Partition] = []
     # (grown shape, residues still to add, first run's start or n before any
     # run, lowest next start); later starts exceed the first, hence the min.
@@ -439,11 +450,9 @@ def to_text(tab: KTableau) -> str:
     entries "letter_residue"."""
     n = tab.k + 1
     lines = [f"k={tab.k}"]
-    for i in range(len(tab.rows), 0, -1):
-        row = tab.rows[i - 1]
-        lines.append(
-            " ".join(f"{x}_{residue(Cell(i, j), n)}" for j, x in enumerate(row, start=1))
-        )
+    # Row i and column j counted from 0: the cell's residue is (j - i) % n.
+    for i in range(len(tab.rows) - 1, -1, -1):
+        lines.append(" ".join([f"{x}_{(j - i) % n}" for j, x in enumerate(tab.rows[i])]))
     return "\n".join(lines) + "\n"
 
 
@@ -473,10 +482,10 @@ def parse_text(text: str) -> KTableau:
     n = k + 1
     for i, row in enumerate(reversed(rows_top_first), start=1):
         for j, (_, res) in enumerate(row, start=1):
-            if res is not None and res != residue(Cell(i, j), n):
+            if res is not None and res != (j - i) % n:
                 raise ValueError(
                     f"entry at row {i}, col {j} claims residue {res}, "
-                    f"expected {residue(Cell(i, j), n)}"
+                    f"expected {(j - i) % n}"
                 )
     return tab
 

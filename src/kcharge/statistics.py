@@ -380,10 +380,13 @@ def charge_table(
 
 
 def _tableau_weight(rows: Sequence[Sequence[int]]) -> list[int]:
+    """How many times each letter 1..max occurs; letters below 1 raise."""
     top = max((x for row in rows for x in row), default=0)
     counts = [0] * top
     for row in rows:
         for x in row:
+            if x < 1:
+                raise ValueError(f"letters must be positive, got {x}")
             counts[x - 1] += 1
     return counts
 

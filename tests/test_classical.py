@@ -69,6 +69,16 @@ def test_charge_requires_partition_weight():
         classical_cocharge([[2, 2], [3]])
 
 
+@pytest.mark.parametrize("rows", [[[0, 1]], [[1, 1], [0]], [[0]]])
+@pytest.mark.parametrize("statistic", [classical_charge, classical_cocharge])
+def test_letter_zero_is_named(statistic, rows):
+    # A 0 used to be counted as the largest letter (counts[-1]) and end in
+    # an IndexError.
+    with pytest.raises(ValueError) as exc:
+        statistic(rows)
+    assert str(exc.value) == "letters must be positive, got 0"
+
+
 def test_enumerate_ssyt_counts():
     assert len(enumerate_ssyt(Partition([2, 1]), (1, 1, 1))) == 2
     assert len(enumerate_ssyt(Partition([2, 2]), (2, 1, 1))) == 1

@@ -154,6 +154,52 @@ def test_addable_corners_known():
     assert (Cell(4, 1), 2) in corners
 
 
+def _cell_addable_corners(shape, n):
+    """The Cell-based addable-corner rule, kept literal as a reference."""
+    corners = []
+    for i, part in enumerate(shape, start=1):
+        if i == 1 or shape[i - 2] > part:
+            corners.append(Cell(i, part + 1))
+    corners.append(Cell(len(shape) + 1, 1))
+    return [(c, residue(c, n)) for c in corners]
+
+
+def _cell_add_residue_class(shape, n, res):
+    """The Cell-based residue-class fill, through a row -> column dict."""
+    rows = {c.row: c.col for c, r in _cell_addable_corners(shape, n) if r == res}
+    if not rows:
+        return None
+    parts = list(shape)
+    for row, col in rows.items():
+        if row > len(parts):
+            parts.append(col)
+        else:
+            parts[row - 1] = col
+    return Partition(parts)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integer_corner_rule_equals_the_cell_rule(n):
+    # The addable corner of 0-based row i has residue (part_i - i) % n and
+    # the new top row -len(shape) % n; compare with Cells and residue() on
+    # every n-core with at most 8 bounded hooks, and on small non-cores.
+    cores = enumerate_cores(n, 8)
+    assert len(cores) > 8
+    for shape in cores + list(all_partitions_up_to(6)):
+        assert addable_corners(shape, n) == _cell_addable_corners(shape, n)
+        for res in range(n):
+            assert add_residue_class(shape, n, res) == _cell_add_residue_class(shape, n, res)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_corner_functions_reject_a_modulus_below_two(n):
+    calls = (lambda: addable_corners(Partition([2]), n), lambda: add_residue_class(Partition(), n, 0))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"residue modulus must be at least 2, got {n}"
+
+
 def test_removable_corners_known():
     assert removable_corners(Partition([1]), 3) == [(Cell(1, 1), 0)]
     assert removable_corners(Partition([5, 2, 1]), 4) == [

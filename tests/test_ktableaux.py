@@ -31,6 +31,7 @@ from kcharge.ktableaux import (
     to_text,
     validate,
 )
+from kcharge.sweeps import weights_up_to
 
 
 def small_pool():
@@ -392,6 +393,38 @@ def test_text_format_shape(tab_weight_222):
     assert to_text(tab_weight_222) == "k=3\n3_2\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n"
 
 
+def test_text_residues_are_cell_residues():
+    # to_text computes (j - i) % n on 0-based rows and columns; every entry
+    # must carry residue(Cell(i, j), n) of its 1-based cell.
+    count = 0
+    for k, mu in weights_up_to(4, 6):
+        for tab in enumerate_k_tableaux(k, mu):
+            lines = to_text(tab).splitlines()[1:]
+            for i, line in enumerate(reversed(lines), start=1):
+                for j, token in enumerate(line.split(), start=1):
+                    letter, res = token.split("_")
+                    assert int(letter) == tab.rows[i - 1][j - 1]
+                    assert int(res) == residue(Cell(i, j), tab.k + 1)
+            count += 1
+    assert count == 307  # the tableaux `verify --max-k 4 --max-weight 6` checks
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("k=3\n1_1\n", "entry at row 1, col 1 claims residue 1, expected 0"),
+        (
+            "k=3\n3_1\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n",
+            "entry at row 3, col 1 claims residue 1, expected 2",
+        ),
+    ],
+)
+def test_parse_text_names_a_wrong_residue(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_text(text)
+    assert str(exc.value) == message
+
+
 def test_parse_text_without_residues():
     assert parse_text("k=3\n3\n2 3\n1 1 2 2 3\n").rows == ((1, 1, 2, 2, 3), (2, 3), (3,))
 
@@ -539,6 +572,36 @@ def test_rejections_name_the_problem(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[1, True]], "letter must be an integer, got True"),
+        ([[1, 2.0]], "letter must be an integer, got 2.0"),
+        ([["1"]], "letter must be an integer, got '1'"),
+        ([[1, 0, -1]], "letters must be positive, got 0"),
+        ([[2], [-3]], "letters must be positive, got -3"),
+        # Every letter's type is checked before any letter's sign.
+        ([[0], [True]], "letter must be an integer, got True"),
+    ],
+)
+def test_ktableau_names_the_first_bad_letter(rows, message):
+    with pytest.raises(ValueError) as exc:
+        KTableau(3, rows)
+    assert str(exc.value) == message
+
+
+def test_ktableau_converts_integer_like_letters():
+    # Letters of another integer type take the per-letter path and are
+    # stored as ints; plain ints are stored as given.
+    class Letter(int):
+        pass
+
+    tab = KTableau(2, [[Letter(1), 1], (2,)])
+    assert tab.rows == ((1, 1), (2,))
+    assert {type(x) for row in tab.rows for x in row} == {int}
+    assert tab == KTableau(2, [[1, 1], [2]])
 
 
 @pytest.mark.parametrize(

@@ -704,3 +704,55 @@ def test_large_k_morse_cocharge_is_classical_on_known_counterexample():
     tab = ktableaux.parse_text(LP_MORSE_DISAGREE[2])
     assert k_cocharge(tab, "lp") == statistics.classical_cocharge(tab.rows) == 5
     assert k_cocharge(tab, "morse") == 5
+
+
+def _per_letter_mismatches(tab):
+    """(sequence number, letter) of every letter i of a standard sequence
+    where L_i != M_i + diag_add_low_i or I_i != J_i + diag_add_high_i."""
+    return [
+        (num, r.letters[i])
+        for num, r in enumerate(sequence_reports(tab), start=1)
+        for i in range(len(r.letters))
+        if r.L[i] != r.M[i] + r.diag_add_low[i] or r.I[i] != r.J[i] + r.diag_add_high[i]
+    ]
+
+
+def test_formulations_agree_letter_by_letter():
+    # The totals lp = morse are sums of these per-letter identities; every
+    # letter of every standard sequence of every tableau at k <= 5 and
+    # |weight| <= 8 (the range `verify --max-k 5 --max-weight 8` passes).
+    walked = 0
+    for k, mu in sweeps.weights_up_to(5, 8):
+        for tab in enumerate_k_tableaux(k, mu):
+            assert _per_letter_mismatches(tab) == [], ktableaux.to_text(tab)
+            walked += len(standard_sequences(tab))
+    assert walked == 5113
+
+
+# The 7 tableaux of `kcharge verify --max-k 6 --max-weight 9` where lp and
+# morse disagree; on each, exactly one letter of one standard sequence
+# breaks the per-letter identities (named above each tableau).
+PER_LETTER_FAILURES = [
+    # sequence 2, letter 3
+    "k=5\n3_4\n2_5 2_0 3_1 3_2\n1_0 1_1 1_2 2_3 3_4\n",
+    # sequence 2, letter 3
+    "k=5\n3_4 3_5\n2_5 2_0\n1_0 1_1 1_2 2_3 3_4 3_5 3_0\n",
+    # sequence 2, letter 3
+    "k=6\n2_6 2_0 3_1 3_2\n1_0 1_1 1_2 2_3 3_4\n",
+    # sequence 2, letter 3
+    "k=6\n3_5\n2_6 2_0 3_1 3_2\n1_0 1_1 1_2 2_3\n",
+    # sequence 1, letter 5
+    "k=6\n3_5\n2_6 4_0 4_1 5_2\n1_0 1_1 2_2 3_3\n",
+    # sequence 1, letter 5
+    "k=6\n4_5\n2_6 3_0 3_1 5_2\n1_0 1_1 2_2 4_3\n",
+    # sequence 1, letter 6
+    "k=6\n3_5\n2_6 4_0 5_1 6_2\n1_0 1_1 2_2 3_3\n",
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="lp and morse disagree")
+@pytest.mark.parametrize("text", PER_LETTER_FAILURES)
+def test_formulations_agree_letter_by_letter_on_known_counterexamples(text):
+    tab = ktableaux.parse_text(text)
+    assert ktableaux.validate(tab)
+    assert _per_letter_mismatches(tab) == []
