@@ -50,8 +50,10 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     mod k+1 selects which diagonals are counted in the open interval.
     That residue is the residue of one end of the interval, so the count
     is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
-    cell is the lower.
+    cell is the lower.  k must be at least 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     return _diags_between(c1.diagonal, c2.diagonal, k + 1)
 
 
@@ -77,17 +79,35 @@ def highest_addable(cells: Iterable[Cell]) -> Cell:
     return Cell(top + 1, 1)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ResidueOrder:
     """Cyclic total order on residues {0..modulus-1} pivoted at `pivot`.
 
     direction "low":  pivot > pivot+1 > ... > modulus-1 > 0 > ... > pivot-1
     direction "high": pivot > pivot-1 > ... > 0 > modulus-1 > ... > pivot+1
+
+    The modulus must be an integer of at least 2, the pivot an integer in
+    0..modulus-1 and the direction "low" or "high"; anything else raises
+    ValueError naming the field.
     """
 
     modulus: int
     pivot: int
     direction: str
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.modulus) or self.modulus < 2:
+            raise ValueError(f"modulus must be an integer of at least 2, got {self.modulus!r}")
+        if not _is_int(self.pivot) or not 0 <= self.pivot < self.modulus:
+            raise ValueError(
+                f"pivot must be an integer in 0..{self.modulus - 1}, got {self.pivot!r}"
+            )
+        if self.direction not in ("low", "high"):
+            raise ValueError(f'direction must be "low" or "high", got {self.direction!r}')
 
     def rank(self, res: int) -> int:
         if self.direction == "low":
@@ -154,6 +174,16 @@ def _residue_orders(n: int) -> tuple[tuple[ResidueOrder, ...], tuple[ResidueOrde
     )
 
 
+@cache
+def _residue_ranks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each order of `_residue_orders(n)`, residue -> `ResidueOrder.rank`,
+    read once per modulus: a walk compares two residues by two lookups."""
+    return tuple(
+        tuple(tuple(map(order.rank, range(n))) for order in orders)
+        for orders in _residue_orders(n)
+    )
+
+
 def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """Every per-letter vector of one standard sequence, in one pass.
 
@@ -163,7 +193,8 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     top row r, so two running maxima stand in for it.  Only their diagonals
     and residues are used: the addable cells sit on diagonals c and -r,
     which pick the pivots c mod k+1 and -r mod k+1 of the low and high
-    residue orders, taken from the per-modulus `_residue_orders`.  Each
+    residue orders, taken from the per-modulus `_residue_orders`; a residue
+    rises in an order when its rank (`_residue_ranks`) is smaller.  Each
     diag count is taken on the two diagonals (`_diags_between`).  L and I
     still follow the signed diag-to-previous rule and M and J the cyclic
     residue orders, so the two formulations remain independent
@@ -174,6 +205,7 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """
     n = k + 1
     lows, highs = _residue_orders(n)
+    low_ranks, high_ranks = _residue_ranks(n)
     L, M, I, J = [0], [0], [0], [0]
     d_prev_low, d_prev_high = [0], [0]
     d_add_low, d_add_high = [], []
@@ -200,12 +232,15 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
             d = _diags_between(high_diag, prev_high_diag, n)
             d_prev_high.append(d)
             I.append(I[-1] + 1 + d if high.col > prev_high.col else I[-1] - d)
-            order = lows[bottom_col % n]
-            low_orders.append(order)
-            M.append(M[-1] + 1 if order.greater(e.residue, prev_res) else M[-1])
-            order = highs[-top_row % n]
-            high_orders.append(order)
-            J.append(J[-1] + 1 if order.greater(e.residue, prev_res) else J[-1])
+            res = e.residue
+            pivot = bottom_col % n
+            low_orders.append(lows[pivot])
+            rank = low_ranks[pivot]
+            M.append(M[-1] + 1 if rank[res] < rank[prev_res] else M[-1])
+            pivot = -top_row % n
+            high_orders.append(highs[pivot])
+            rank = high_ranks[pivot]
+            J.append(J[-1] + 1 if rank[res] < rank[prev_res] else J[-1])
         prev_low, prev_high, prev_res = low, high, e.residue
         prev_low_diag, prev_high_diag = low_diag, high_diag
     return SequenceReport(
@@ -320,6 +355,8 @@ class TPolynomial:
         return sorted(self._coeffs.items())
 
     def __add__(self, other: "TPolynomial") -> "TPolynomial":
+        if not isinstance(other, TPolynomial):
+            return NotImplemented
         merged = Counter(self._coeffs)
         merged.update(other._coeffs)
         return TPolynomial(merged)
@@ -442,6 +479,14 @@ def classical_cocharge(rows: Sequence[Sequence[int]]) -> int:
     """n(weight) minus the charge; non-negative for tableau words."""
     weight = Partition(_tableau_weight(rows))
     return n_stat(weight) - classical_charge(rows)
+
+
+def _classical_statistics(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(classical_charge(rows), classical_cocharge(rows)) from one charge
+    computation.  It raises exactly as that pair of calls does: the charge
+    raises first, and once it exists the weight is a partition."""
+    charge = classical_charge(rows)
+    return charge, n_stat(Partition(_tableau_weight(rows))) - charge
 
 
 def enumerate_ssyt(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable
 
 from .cores import (
@@ -25,13 +26,11 @@ from .cores import (
 from .ktableaux import (
     KTableau,
     enumerate_k_tableaux,
-    highest_occurrence,
-    lowest_occurrence,
     standard_sequences,
     to_text,
     validate,
 )
-from .statistics import _walk, classical_charge, classical_cocharge
+from .statistics import _classical_statistics, _walk
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,21 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
-    Returns (number of identities checked, failures).  Each identity's
-    detail text is rendered only when that identity fails.  The per-letter
-    checks carry their state from letter to letter (each row's count of
-    letters so far, each residue's diagonals so far), so every cell is read
-    once per rule.
+    Returns (number of identities checked, failures).  The facts are read
+    in fused passes.  One pass over the walks gives the four totals and
+    each walk's terms.  The letter pass, over letters 1..n_letters, gives
+    each restriction's shape, each letter's cell count and, on a standard
+    tableau, both diagonal rules.  The entry pass, over the entries of the
+    standard sequences, gives the partition of the cells and each entry's
+    residue, rows and columns.  The large-k identity reads the classical
+    charge and cocharge from one classical charge computation.
+
+    Failures are reported in a fixed order, whichever pass found them: the
+    totals, the terms of each walk, the restrictions by letter, the
+    partition of the cells, the entries, letter 1, the standard duality and
+    then its two rules letter by letter, and last the two large-k
+    identities.  Each failure's detail text is rendered only when that
+    identity fails.
     """
     k = tab.k
     n = k + 1
@@ -84,18 +93,27 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     checked = 0
     failures: list[SweepFailure] = []
 
+    def fail(identity: str, detail: str) -> None:
+        failures.append(SweepFailure(identity, detail, to_text(tab)))
+
     def expect(identity: str, condition: bool, detail: Callable[[], str]) -> None:
         nonlocal checked
         checked += 1
         if not condition:
-            failures.append(SweepFailure(identity, detail(), to_text(tab)))
+            fail(identity, detail())
 
     seqs = standard_sequences(tab)
     reports = [_walk(seq, k) for seq in seqs]
-    cocharge_lp = sum(r.cocharge_lp() for r in reports)
-    cocharge_morse = sum(r.cocharge_morse() for r in reports)
-    charge_lp = sum(r.charge_lp() for r in reports)
-    charge_morse = sum(r.charge_morse() for r in reports)
+    # Per walk, the terms M_i + diag_add_low_i and J_i + diag_add_high_i;
+    # they sum to the walk's morse cocharge and charge.
+    terms = [
+        (list(map(add, r.M, r.diag_add_low)), list(map(add, r.J, r.diag_add_high)))
+        for r in reports
+    ]
+    cocharge_lp = sum(sum(r.L) for r in reports)
+    charge_lp = sum(sum(r.I) for r in reports)
+    cocharge_morse = sum(sum(low) for low, _ in terms)
+    charge_morse = sum(sum(high) for _, high in terms)
     # The k-interior's size; its cells are never read.
     interior = lam.size() - _hook_facts(lam, n)[1]
 
@@ -118,96 +136,121 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     expect(
         "cocharge is non-negative", cocharge_morse >= 0, lambda: f"cocharge={cocharge_morse}"
     )
-    for r in reports:
-        terms_low = [m + d for m, d in zip(r.M, r.diag_add_low)]
-        terms_high = [j + d for j, d in zip(r.J, r.diag_add_high)]
+    for low, high in terms:
         expect(
             "non-negative term by term",
-            all(t >= 0 for t in terms_low) and all(t >= 0 for t in terms_high),
-            lambda: f"terms {terms_low} / {terms_high}",
+            min(low, default=0) >= 0 and min(high, default=0) >= 0,
+            lambda: f"terms {low} / {high}",
         )
 
-    # The restriction to letters <= i keeps each row's count of them.
+    # The letter pass.  The restriction to letters <= i keeps each row's
+    # count of them.  On a standard tableau each letter spans one residue,
+    # so its cells are its entry in the one standard sequence: the first
+    # and the last in the letter index are its lowest and highest
+    # occurrences, and all its diagonals have their residue.
+    standard = bool(mu) and all(part == 1 for part in mu)
+    if standard:
+        d_low, d_high = reports[0].diag_add_low, reports[0].diag_add_high
+        # residue -> the diagonals of that residue met by letters <= i.
+        meeting: dict[int, set[int]] = {}
+    by_letter = tab._letter_index()
     row_counts = [0] * len(tab.rows)
+    sizes = []
+    not_cores = []
+    # (identity, detail) of each failing diagonal rule, letter by letter.
+    rule_failures = []
     for i in range(1, tab.n_letters + 1):
-        for c in tab.cells_of(i):
-            row_counts[c.row - 1] += 1
+        cells = by_letter.get(i, ())
+        sizes.append(len(cells))
+        for row, _ in cells:
+            row_counts[row - 1] += 1
         counts = tuple(filter(None, row_counts))
-        expect(
-            "restriction is a core",
-            _hook_facts(counts, n)[0] is None,
-            lambda: f"restriction to {i} has shape {Partition(counts)}",
-        )
+        if _hook_facts(counts, n)[0] is not None:
+            not_cores.append(f"restriction to {i} has shape {Partition(counts)}")
+        if standard:
+            letter_diags = {col - row for row, col in cells}
+            (down_row, down_col), (up_row, up_col) = cells[0], cells[-1]
+            res = (up_col - up_row) % n
+            met = meeting.setdefault(res, set())
+            met |= letter_diags
+            # The diagonals of residue res strictly between the extremes'.
+            lo, hi = sorted((up_col - up_row, down_col - down_row))
+            between = range(lo + n, hi, n)
+            if not letter_diags.issuperset(between):
+                rule_failures.append(
+                    (
+                        "diagonal filling between extremes",
+                        f"letter {i} misses a residue-{res} diagonal in {list(between)}",
+                    )
+                )
+            count = len(cells) + d_high[i - 1] + d_low[i - 1]
+            if count != len(met):
+                rule_failures.append(
+                    (
+                        "diagonal count through the restriction",
+                        f"letter {i}: {count} != {len(met)}",
+                    )
+                )
+    checked += len(sizes)
+    for detail in not_cores:
+        fail("restriction is a core", detail)
 
-    all_cells = [c for seq in seqs for e in seq.entries for c in e.cells]
-    expect(
-        "sequences partition the cells",
-        len(all_cells) == len(set(all_cells)) == lam.size(),
-        lambda: f"{len(all_cells)} cells over sequences vs {lam.size()} in shape",
-    )
+    # The entry pass.
+    seen: set[Cell] = set()
+    covered = 0
+    bad_entries = []
     for seq in seqs:
         for e in seq.entries:
-            rows = [c.row for c in e.cells]
-            cols = [c.col for c in e.cells]
-            expect(
-                "entry occupies one residue, distinct rows and columns",
-                len({(c.col - c.row) % n for c in e.cells}) == 1
-                and len(set(rows)) == len(rows)
-                and len(set(cols)) == len(cols),
-                lambda: f"letter {e.letter} cells {sorted(e.cells)}",
-            )
+            cells = e.cells
+            seen |= cells
+            covered += len(cells)
+            # One cell has one residue, one row and one column.
+            if len(cells) > 1:
+                rows, cols = zip(*cells)
+                if not (
+                    len({(col - row) % n for row, col in cells}) == 1
+                    and len(set(rows)) == len(rows)
+                    and len(set(cols)) == len(cols)
+                ):
+                    bad_entries.append(f"letter {e.letter} cells {sorted(cells)}")
+        checked += len(seq.entries)
+    expect(
+        "sequences partition the cells",
+        covered == len(seen) == lam.size(),
+        lambda: f"{covered} cells over sequences vs {lam.size()} in shape",
+    )
+    for detail in bad_entries:
+        fail("entry occupies one residue, distinct rows and columns", detail)
+
     alpha1 = mu[0] if mu else 0
+    letter1 = by_letter.get(1, ())
+    # The letter index lists cells bottom row first, left to right.
     expect(
         "letter 1 fills the bottom row start",
-        set(tab.cells_of(1)) == {Cell(1, j) for j in range(1, alpha1 + 1)},
-        lambda: f"letter-1 cells {sorted(tab.cells_of(1))}",
+        letter1 == tuple((1, j) for j in range(1, alpha1 + 1)),
+        lambda: f"letter-1 cells {sorted(letter1)}",
     )
 
-    if mu and all(part == 1 for part in mu):
+    if standard:
         m = len(mu)
-        seq, report = seqs[0], reports[0]
-        low_side = report.cocharge_morse()
-        high_side = report.charge_morse()
+        low_side, high_side = sum(terms[0][0]), sum(terms[0][1])
         expect(
             "standard duality with explicit constant",
             high_side == m * (m - 1) // 2 - interior - low_side,
             lambda: f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
         )
-        d_low, d_high = report.diag_add_low, report.diag_add_high
-        # residue -> the diagonals of that residue met by letters <= i.
-        meeting: dict[int, set[int]] = {}
-        for i in range(1, m + 1):
-            up, down = highest_occurrence(seq, i), lowest_occurrence(seq, i)
-            res = residue(up, n)
-            letter_diags = {c.diagonal for c in tab.cells_of(i)}
-            for d in letter_diags:
-                meeting.setdefault(d % n, set()).add(d)
-            between = [
-                d
-                for d in range(min(up.diagonal, down.diagonal) + 1, max(up.diagonal, down.diagonal))
-                if d % n == res
-            ]
-            expect(
-                "diagonal filling between extremes",
-                all(d in letter_diags for d in between),
-                lambda: f"letter {i} misses a residue-{res} diagonal in {between}",
-            )
-            met = len(meeting.get(res, ()))
-            count = len(tab.cells_of(i)) + d_high[i - 1] + d_low[i - 1]
-            expect(
-                "diagonal count through the restriction",
-                count == met,
-                lambda: f"letter {i}: {count} != {met}",
-            )
+        checked += 2 * m
+        for identity, detail in rule_failures:
+            fail(identity, detail)
 
     if k > (lam[0] if lam else 0) + len(lam) - 2:
-        counts = tuple(len(tab.cells_of(i)) for i in range(1, tab.n_letters + 1))
+        counts = tuple(sizes)
         expect(
             "large k degenerates to a classical tableau",
             counts == tuple(mu),
             lambda: f"cell counts {counts} vs weight {tuple(mu)}",
         )
-        classical = (classical_charge(tab.rows), classical_cocharge(tab.rows))
+        classical = _classical_statistics(tab.rows)
         expect(
             "large-k charge matches the classical statistic",
             (charge_morse, cocharge_morse) == classical,

@@ -1,5 +1,6 @@
 import pytest
 
+from kcharge import statistics
 from kcharge.cores import Partition, n_stat, partitions
 from kcharge.statistics import (
     TPolynomial,
@@ -60,6 +61,36 @@ def test_cocharge_complements_charge():
                 charge = classical_charge(rows)
                 assert 0 <= charge <= bound
                 assert classical_cocharge(rows) == bound - charge
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[1, 1, 2], [2, 3]],
+        [[1, 1, 1, 2, 3], [2, 2, 3, 3]],
+        [[1, 2, 3]],
+        [[1], [2], [3]],
+        [[1, 3]],
+        [[1, 2, 2]],
+        [[2, 2], [3]],
+        [[2]],
+        [[0, 1]],
+        [[1, 1], [0]],
+    ],
+)
+def test_classical_statistics_equal_the_pair_of_calls(rows):
+    # One charge computation gives both statistics, and any failure is the
+    # one the two separate calls raise first.
+    pair = _outcome(lambda: (classical_charge(rows), classical_cocharge(rows)))
+    assert _outcome(lambda: statistics._classical_statistics(rows)) == pair
 
 
 def test_charge_requires_partition_weight():
