@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import le, lt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
     Cell,
@@ -107,6 +108,10 @@ class KTableau:
             n = self.k + 1
             index = {}
             for letter, cells in self._letter_index().items():
+                if len(cells) == 1:
+                    ((row, col),) = cells
+                    index[letter] = {(col - row) % n: frozenset(cells)}
+                    continue
                 by_res: dict[int, list[Cell]] = {}
                 for cell in cells:
                     by_res.setdefault((cell.col - cell.row) % n, []).append(cell)
@@ -178,17 +183,26 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     cell, hooks = _hook_facts(tab.shape, n)
     if cell is not None:
         return ValidationReport(False, f"shape {tab.shape} is not a {n}-core", cell)
-    conj = tab.shape.conjugate()
-    for i, row in enumerate(tab.rows, start=1):
-        for j in range(1, len(row)):
-            if row[j] < row[j - 1]:
-                return ValidationReport(False, "row decreases left-to-right", Cell(i, j + 1))
-    for j in range(1, (tab.shape[0] if tab.shape else 0) + 1):
-        for i in range(1, conj[j - 1]):
-            if tab.rows[i][j - 1] <= tab.rows[i - 1][j - 1]:
-                return ValidationReport(
-                    False, "column fails to increase bottom-to-top", Cell(i + 1, j)
-                )
+    # Whole rows are compared at once.  Only a failure is scanned cell by
+    # cell, rows bottom-first and then columns left to right, to name the
+    # first offending cell in that order.
+    rows = tab.rows
+    if not all([all(map(le, row, row[1:])) for row in rows]):
+        for i, row in enumerate(rows, start=1):
+            for j in range(1, len(row)):
+                if row[j] < row[j - 1]:
+                    return ValidationReport(
+                        False, "row decreases left-to-right", Cell(i, j + 1)
+                    )
+    # Each row against the row above it, up to the shorter (upper) row's end.
+    if not all([all(map(lt, lower, upper)) for lower, upper in zip(rows, rows[1:])]):
+        conj = tab.shape.conjugate()
+        for j in range(1, tab.shape[0] + 1):
+            for i in range(1, conj[j - 1]):
+                if rows[i][j - 1] <= rows[i - 1][j - 1]:
+                    return ValidationReport(
+                        False, "column fails to increase bottom-to-top", Cell(i + 1, j)
+                    )
     by_letter = tab._letter_index()
     classes = tab._residue_index()
     r = tab.n_letters
@@ -222,8 +236,7 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     return ValidationReport(True)
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     letter: int
     residue: int
     cells: frozenset[Cell]
@@ -281,12 +294,16 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
         for idx in range(1, len(groups)):
             if not unused[idx]:
                 break
-            chosen = min(unused[idx], key=lambda r: (prev - r) % n)
+            classes = unused[idx]
+            if len(classes) == 1:
+                (chosen,) = classes
+            else:
+                chosen = min(classes, key=lambda r: (prev - r) % n)
             if chosen == prev:
                 logger.debug(
                     "standard sequence repeats residue %d at letter %d", chosen, idx + 1
                 )
-            unused[idx].discard(chosen)
+            classes.discard(chosen)
             entries.append(SequenceEntry(idx + 1, chosen, groups[idx][chosen]))
             prev = chosen
         sequences.append(StandardSequence(tuple(entries)))

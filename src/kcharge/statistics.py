@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cores import (
     Cell,
@@ -134,8 +134,7 @@ def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
     return ResidueOrder(k + 1, pivot, "high")
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     """Everything the per-sequence statistics tables display."""
 
     letters: tuple[int, ...]
@@ -476,15 +475,15 @@ def classical_charge(rows: Sequence[Sequence[int]]) -> int:
 
 
 def classical_cocharge(rows: Sequence[Sequence[int]]) -> int:
-    """n(weight) minus the charge; non-negative for tableau words."""
-    weight = Partition(_tableau_weight(rows))
-    return n_stat(weight) - classical_charge(rows)
+    """n(weight) minus the charge; non-negative for tableau words.  It
+    raises exactly as `classical_charge` does."""
+    return _classical_statistics(rows)[1]
 
 
 def _classical_statistics(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(classical_charge(rows), classical_cocharge(rows)) from one charge
-    computation.  It raises exactly as that pair of calls does: the charge
-    raises first, and once it exists the weight is a partition."""
+    computation.  The charge raises first, and once it exists the weight is
+    a partition."""
     charge = classical_charge(rows)
     return charge, n_stat(Partition(_tableau_weight(rows))) - charge
 

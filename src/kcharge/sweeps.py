@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from operator import add
-from typing import Callable
 
 from .cores import (
     Cell,
@@ -96,12 +95,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     def fail(identity: str, detail: str) -> None:
         failures.append(SweepFailure(identity, detail, to_text(tab)))
 
-    def expect(identity: str, condition: bool, detail: Callable[[], str]) -> None:
-        nonlocal checked
-        checked += 1
-        if not condition:
-            fail(identity, detail())
-
     seqs = standard_sequences(tab)
     reports = [_walk(seq, k) for seq in seqs]
     # Per walk, the terms M_i + diag_add_low_i and J_i + diag_add_high_i;
@@ -117,31 +110,30 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     # The k-interior's size; its cells are never read.
     interior = lam.size() - _hook_facts(lam, n)[1]
 
-    expect(
-        "cocharge formulations agree",
-        cocharge_lp == cocharge_morse,
-        lambda: f"lp={cocharge_lp} morse={cocharge_morse}",
-    )
-    expect(
-        "charge formulations agree",
-        charge_lp == charge_morse,
-        lambda: f"lp={charge_lp} morse={charge_morse}",
-    )
-    expect(
-        "charge + cocharge = n(weight) - interior",
-        charge_morse + cocharge_morse == n_stat(mu) - interior,
-        lambda: f"{charge_morse} + {cocharge_morse} != {n_stat(mu)} - {interior}",
-    )
-    expect("charge is non-negative", charge_morse >= 0, lambda: f"charge={charge_morse}")
-    expect(
-        "cocharge is non-negative", cocharge_morse >= 0, lambda: f"cocharge={cocharge_morse}"
-    )
-    for low, high in terms:
-        expect(
-            "non-negative term by term",
-            min(low, default=0) >= 0 and min(high, default=0) >= 0,
-            lambda: f"terms {low} / {high}",
+    # Each identity is counted, then tested; its detail is rendered only in
+    # the failing branch.
+    checked += 1
+    if cocharge_lp != cocharge_morse:
+        fail("cocharge formulations agree", f"lp={cocharge_lp} morse={cocharge_morse}")
+    checked += 1
+    if charge_lp != charge_morse:
+        fail("charge formulations agree", f"lp={charge_lp} morse={charge_morse}")
+    checked += 1
+    if charge_morse + cocharge_morse != n_stat(mu) - interior:
+        fail(
+            "charge + cocharge = n(weight) - interior",
+            f"{charge_morse} + {cocharge_morse} != {n_stat(mu)} - {interior}",
         )
+    checked += 1
+    if charge_morse < 0:
+        fail("charge is non-negative", f"charge={charge_morse}")
+    checked += 1
+    if cocharge_morse < 0:
+        fail("cocharge is non-negative", f"cocharge={cocharge_morse}")
+    for low, high in terms:
+        checked += 1
+        if min(low, default=0) < 0 or min(high, default=0) < 0:
+            fail("non-negative term by term", f"terms {low} / {high}")
 
     # The letter pass.  The restriction to letters <= i keeps each row's
     # count of them.  On a standard tableau each letter spans one residue,
@@ -214,48 +206,50 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                 ):
                     bad_entries.append(f"letter {e.letter} cells {sorted(cells)}")
         checked += len(seq.entries)
-    expect(
-        "sequences partition the cells",
-        covered == len(seen) == lam.size(),
-        lambda: f"{covered} cells over sequences vs {lam.size()} in shape",
-    )
+    checked += 1
+    if not covered == len(seen) == lam.size():
+        fail(
+            "sequences partition the cells",
+            f"{covered} cells over sequences vs {lam.size()} in shape",
+        )
     for detail in bad_entries:
         fail("entry occupies one residue, distinct rows and columns", detail)
 
     alpha1 = mu[0] if mu else 0
     letter1 = by_letter.get(1, ())
     # The letter index lists cells bottom row first, left to right.
-    expect(
-        "letter 1 fills the bottom row start",
-        letter1 == tuple((1, j) for j in range(1, alpha1 + 1)),
-        lambda: f"letter-1 cells {sorted(letter1)}",
-    )
+    checked += 1
+    if letter1 != tuple((1, j) for j in range(1, alpha1 + 1)):
+        fail("letter 1 fills the bottom row start", f"letter-1 cells {sorted(letter1)}")
 
     if standard:
         m = len(mu)
         low_side, high_side = sum(terms[0][0]), sum(terms[0][1])
-        expect(
-            "standard duality with explicit constant",
-            high_side == m * (m - 1) // 2 - interior - low_side,
-            lambda: f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
-        )
+        checked += 1
+        if high_side != m * (m - 1) // 2 - interior - low_side:
+            fail(
+                "standard duality with explicit constant",
+                f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
+            )
         checked += 2 * m
         for identity, detail in rule_failures:
             fail(identity, detail)
 
     if k > (lam[0] if lam else 0) + len(lam) - 2:
         counts = tuple(sizes)
-        expect(
-            "large k degenerates to a classical tableau",
-            counts == tuple(mu),
-            lambda: f"cell counts {counts} vs weight {tuple(mu)}",
-        )
+        checked += 1
+        if counts != tuple(mu):
+            fail(
+                "large k degenerates to a classical tableau",
+                f"cell counts {counts} vs weight {tuple(mu)}",
+            )
         classical = _classical_statistics(tab.rows)
-        expect(
-            "large-k charge matches the classical statistic",
-            (charge_morse, cocharge_morse) == classical,
-            lambda: f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
-        )
+        checked += 1
+        if (charge_morse, cocharge_morse) != classical:
+            fail(
+                "large-k charge matches the classical statistic",
+                f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
+            )
 
     return checked, failures
 

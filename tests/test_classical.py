@@ -100,6 +100,23 @@ def test_charge_requires_partition_weight():
         classical_cocharge([[2, 2], [3]])
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[1, 3]], "weight [1, 0, 1] is not a partition"),
+        ([[1, 2, 2]], "weight [1, 2] is not a partition"),
+        ([[2]], "weight [0, 1] is not a partition"),
+    ],
+)
+@pytest.mark.parametrize("statistic", [classical_charge, classical_cocharge])
+def test_non_partition_weight_is_named_alike(statistic, rows, message):
+    # Cocharge is read off the charge computation, so both statistics name
+    # the weight, not the Partition built from it.
+    with pytest.raises(ValueError) as exc:
+        statistic(rows)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("rows", [[[0, 1]], [[1, 1], [0]], [[0]]])
 @pytest.mark.parametrize("statistic", [classical_charge, classical_cocharge])
 def test_letter_zero_is_named(statistic, rows):

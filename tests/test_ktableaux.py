@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from kcharge.cores import (
     Cell,
     Partition,
+    _hook_facts,
     add_residue_class,
     enumerate_cores,
     is_n_core,
@@ -17,6 +18,7 @@ from kcharge.cores import (
 )
 from kcharge.ktableaux import (
     KTableau,
+    SequenceEntry,
     ValidationReport,
     _weak_strips,
     enumerate_k_tableaux,
@@ -645,3 +647,116 @@ def test_standard_sequences_use_every_residue_class():
                         for e in seq.entries:
                             assert e.cells == classes[e.letter][e.residue]
     assert split == 708
+
+
+def _validate_literal(tab, weight=None):
+    """`validate` as it stood before rows and columns were scanned whole:
+    every cell is compared with its left and lower neighbour in turn."""
+    n = tab.k + 1
+    cell, hooks = _hook_facts(tab.shape, n)
+    if cell is not None:
+        return ValidationReport(False, f"shape {tab.shape} is not a {n}-core", cell)
+    conj = tab.shape.conjugate()
+    for i, row in enumerate(tab.rows, start=1):
+        for j in range(1, len(row)):
+            if row[j] < row[j - 1]:
+                return ValidationReport(False, "row decreases left-to-right", Cell(i, j + 1))
+    for j in range(1, (tab.shape[0] if tab.shape else 0) + 1):
+        for i in range(1, conj[j - 1]):
+            if tab.rows[i][j - 1] <= tab.rows[i - 1][j - 1]:
+                return ValidationReport(
+                    False, "column fails to increase bottom-to-top", Cell(i + 1, j)
+                )
+    by_letter = tab._letter_index()
+    classes = tab._residue_index()
+    r = tab.n_letters
+    total = 0
+    for letter in range(1, r + 1):
+        cells = by_letter.get(letter)
+        if not cells:
+            return ValidationReport(False, f"letter {letter} is missing", None)
+        spanned = len(classes[letter])
+        total += spanned
+        if spanned > tab.k:
+            return ValidationReport(
+                False, f"letter {letter} spans {spanned} residues > k={tab.k}", cells[0]
+            )
+        if weight is not None:
+            expected = weight[letter - 1] if letter <= len(weight) else 0
+            if spanned != expected:
+                return ValidationReport(
+                    False,
+                    f"letter {letter} spans {spanned} residues, expected {expected}",
+                    cells[0],
+                )
+    if weight is not None and r != len(weight):
+        return ValidationReport(False, f"{r} letters, expected {len(weight)}", None)
+    if total != hooks:
+        return ValidationReport(
+            False,
+            f"residue classes sum to {total} but shape has {hooks} k-bounded hooks",
+            None,
+        )
+    return ValidationReport(True)
+
+
+def _tableaux_and_one_letter_changes():
+    """(filling, weight) for every k-tableau with k <= 4 and |weight| <= 6,
+    and for every filling that changes one of its entries to another
+    letter in 1..n_letters+1, paired with the tableau's weight."""
+    cases = []
+    for k, mu in weights_up_to(4, 6):
+        for tab in enumerate_k_tableaux(k, mu):
+            cases.append((tab, mu))
+            rows = [list(row) for row in tab.rows]
+            for i, row in enumerate(rows):
+                for j, old in enumerate(row):
+                    for x in range(1, tab.n_letters + 2):
+                        if x != old:
+                            row[j] = x
+                            cases.append((KTableau(k, rows), mu))
+                    row[j] = old
+    return cases
+
+
+def test_validate_equals_the_cell_by_cell_scan():
+    problems = set()
+    for tab, mu in _tableaux_and_one_letter_changes():
+        for weight in (None, mu):
+            got = validate(tab, weight)
+            want = _validate_literal(tab, weight)
+            assert (got.ok, got.problem, got.cell) == (want.ok, want.problem, want.cell), (
+                tab,
+                weight,
+            )
+            problems.add(got.problem)
+    assert "row decreases left-to-right" in problems
+    assert "column fails to increase bottom-to-top" in problems
+
+
+def test_residue_index_files_every_cell_by_its_residue():
+    # One-cell letters take a shortcut; the index must not tell.
+    for tab, _ in _tableaux_and_one_letter_changes():
+        n = tab.k + 1
+        literal = {}
+        for cell in tab.cells():
+            letter = tab.letter(cell)
+            literal.setdefault(letter, {}).setdefault(residue(cell, n), set()).add(cell)
+        assert tab._residue_index() == {
+            x: {r: frozenset(cs) for r, cs in by_res.items()} for x, by_res in literal.items()
+        }
+
+
+def test_sequence_entry_is_an_immutable_hashable_record():
+    cells = frozenset({Cell(1, 1), Cell(2, 3)})
+    entry = SequenceEntry(letter=2, residue=0, cells=cells)
+    assert entry == SequenceEntry(letter=2, residue=0, cells=frozenset(cells))
+    assert hash(entry) == hash(SequenceEntry(letter=2, residue=0, cells=frozenset(cells)))
+    assert (entry.letter, entry.residue, entry.cells) == (2, 0, cells)
+    with pytest.raises(AttributeError):
+        entry.letter = 3
+    with pytest.raises(AttributeError):
+        entry.extra = 1
+    assert repr(SequenceEntry(letter=1, residue=0, cells=frozenset({Cell(1, 1)}))) == (
+        "SequenceEntry(letter=1, residue=0, cells=frozenset({Cell(row=1, col=1)}))"
+    )

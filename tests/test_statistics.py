@@ -258,6 +258,26 @@ def test_sequence_reports(tab_semistandard_13):
     assert reports[0].low_orders[0] is None
 
 
+def test_sequence_report_is_an_immutable_hashable_record():
+    tab = KTableau(2, [[1, 2]])
+    (report,) = sequence_reports(tab)
+    (again,) = sequence_reports(KTableau(2, [[1, 2]]))
+    assert report == again and hash(report) == hash(again)
+    fields = {name: getattr(report, name) for name in SequenceReport._fields}
+    assert SequenceReport(**fields) == report
+    with pytest.raises(AttributeError):
+        report.L = (0, 1)
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    assert repr(report) == (
+        "SequenceReport(letters=(1, 2), residues=(0, 1), L=(0, 0), M=(0, 0), "
+        "I=(0, 1), J=(0, 1), diag_prev_low=(0, 0), diag_prev_high=(0, 0), "
+        "diag_add_low=(0, 0), diag_add_high=(0, 0), "
+        "low_orders=(None, ResidueOrder(modulus=3, pivot=2, direction='low')), "
+        "high_orders=(None, ResidueOrder(modulus=3, pivot=2, direction='high')))"
+    )
+
+
 def test_charge_table_weight_321():
     table = charge_table(3, (3, 2, 1))
     assert {str(s): str(p) for s, p in table.items()} == {
