@@ -7,7 +7,7 @@ import json
 import os
 import sys
 
-from .cores import Partition, _hook_facts, _parse_digits, n_stat
+from .cores import Partition, _hook_facts, _parse_digits, _partition_fault, n_stat
 from .ktableaux import (
     enumerate_k_tableaux,
     parse_json,
@@ -38,6 +38,15 @@ def _parse_csv_ints(text: str, what: str) -> tuple[int, ...]:
     if any(v < 1 for v in values):
         raise ValueError(f"{what} parts must be positive, got {text!r}")
     return values
+
+
+def _parse_shape(text: str) -> Partition:
+    """The --shape argument as a partition; an error quotes it as given."""
+    parts = _parse_csv_ints(text, "shape")
+    fault = _partition_fault(parts)
+    if fault:
+        raise ValueError(f"shape {fault}, got {text!r}")
+    return Partition(parts)
 
 
 def _int_arg(text: str) -> int:
@@ -101,7 +110,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     weight = _parse_csv_ints(args.weight, "weight")
-    shape = Partition(_parse_csv_ints(args.shape, "shape")) if args.shape else None
+    shape = _parse_shape(args.shape) if args.shape else None
     tableaux = enumerate_k_tableaux(args.k, weight, shape=shape, strategy=args.strategy)
     if args.format == "json":
         payload = {
@@ -239,7 +248,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             raise ValueError("either --k or --classical is required")
         table = charge_table(args.k, weight, formulation=args.formulation)
     if args.shape:
-        wanted = Partition(_parse_csv_ints(args.shape, "shape"))
+        wanted = _parse_shape(args.shape)
         table = {shape: poly for shape, poly in table.items() if shape == wanted}
     if args.format == "json":
         payload = {

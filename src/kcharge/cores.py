@@ -36,6 +36,17 @@ def _parse_digits(text: str, what: str) -> int:
     return int(text)
 
 
+def _partition_fault(parts: tuple[int, ...]) -> str | None:
+    """Why these integers are not the parts of a partition ("must be
+    weakly decreasing" or "must be positive"), or None if they are.  Each
+    caller names the parts in its own terms."""
+    if not all(map(operator.ge, parts, parts[1:])):
+        return "must be weakly decreasing"
+    if parts and parts[-1] < 1:
+        return "must be positive"
+    return None
+
+
 class Cell(NamedTuple):
     row: int
     col: int
@@ -60,11 +71,9 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(p if type(p) is int else _strict_int(p, "partition part") for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        if parts and parts[-1] < 1:
-            raise ValueError(f"parts must be positive, got {parts}")
+        fault = _partition_fault(parts)
+        if fault:
+            raise ValueError(f"parts {fault}, got {parts}")
         if parts and (parts[0] > MAX_EXTENT or len(parts) > MAX_EXTENT):
             raise ValueError(f"partition extent exceeds {MAX_EXTENT}")
         return super().__new__(cls, parts)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from operator import le, lt
+from operator import ge, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
@@ -19,12 +19,12 @@ from .cores import (
     _corner_residues,
     _hook_facts,
     _parse_digits,
+    _partition_fault,
     _strict_int,
     add_residue_class,
     k_bounded_hooks,
     enumerate_cores,
     partition_sort_key,
-    residue,
     semistandard_fillings,
 )
 
@@ -46,13 +46,15 @@ class KTableau:
     Only when some letter is not an `int` (a bool, a float, a string, an
     int subclass) does each letter go through `_strict_int`.  Every
     letter's type is checked before any letter's sign, and an error names
-    the first offender in reading order.
+    the first offender in reading order.  The row lengths, bottom row
+    first, must form a partition; an error names them.
 
-    Two indexes are built on first use and then shared by every reader:
-    letter -> cells (`cells_of`), and for each letter present the map
-    residue -> that letter's cells of the residue (read by `weight`,
-    `residues_of`, `validate` and `standard_sequences`).  Both have one key
-    per letter present, so a huge letter costs no more than a small one.
+    Two indexes are built together, in one pass over the rows, on first
+    use of either, and then shared by every reader: letter -> cells
+    (`cells_of`), and for each letter present the map residue -> that
+    letter's cells of the residue (read by `weight`, `residues_of`,
+    `validate` and `standard_sequences`).  Both have one key per letter
+    present, so a huge letter costs no more than a small one.
     """
 
     # Both indexes are derived from rows, so equality and hashing ignore them.
@@ -73,9 +75,25 @@ class KTableau:
                 bad = next(x for x in row if x < 1)
                 raise ValueError(f"letters must be positive, got {bad}")
         self.rows = rows
-        self.shape = Partition(map(len, rows))
+        lengths = tuple(map(len, rows))
+        fault = _partition_fault(lengths)
+        if fault:
+            raise ValueError(f"row lengths (bottom row first) {fault}, got {lengths}")
+        self.shape = Partition(lengths)
         self._by_letter: dict[int, tuple[Cell, ...]] | None = None
         self._by_residue: dict[int, dict[int, frozenset[Cell]]] | None = None
+
+    @classmethod
+    def _trusted(
+        cls, k: int, rows: tuple[tuple[int, ...], ...], shape: Partition
+    ) -> "KTableau":
+        """Build without the checks; only for a positive int k and tuple
+        rows of positive int letters whose lengths are `shape`, as the
+        enumerator grows them."""
+        tab = object.__new__(cls)
+        tab.k, tab.rows, tab.shape = k, rows, shape
+        tab._by_letter = tab._by_residue = None
+        return tab
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -90,14 +108,41 @@ class KTableau:
     def __repr__(self) -> str:
         return f"KTableau(k={self.k}, rows={[list(r) for r in self.rows]})"
 
+    def _index(self) -> None:
+        """Both indexes, from one pass over the cells in reading order.
+
+        Each `Cell` is made as a plain tuple, without the Python-level
+        `__new__` of a NamedTuple."""
+        n = self.k + 1
+        make = tuple.__new__
+        by_letter: dict[int, list[Cell]] = {}
+        by_residue: dict[int, dict[int, list[Cell]]] = {}
+        for i, row in enumerate(self.rows, start=1):
+            for j, x in enumerate(row, start=1):
+                cell = make(Cell, (i, j))
+                res = (j - i) % n
+                cells = by_letter.get(x)
+                if cells is None:
+                    by_letter[x] = [cell]
+                    by_residue[x] = {res: [cell]}
+                    continue
+                cells.append(cell)
+                classes = by_residue[x]
+                same = classes.get(res)
+                if same is None:
+                    classes[res] = [cell]
+                else:
+                    same.append(cell)
+        self._by_letter = {x: tuple(cells) for x, cells in by_letter.items()}
+        self._by_residue = {
+            x: {res: frozenset(cells) for res, cells in classes.items()}
+            for x, classes in by_residue.items()
+        }
+
     def _letter_index(self) -> dict[int, tuple[Cell, ...]]:
         """letter -> its cells, bottom row first and left to right."""
         if self._by_letter is None:
-            index: dict[int, list[Cell]] = {}
-            for i, row in enumerate(self.rows, start=1):
-                for j, x in enumerate(row, start=1):
-                    index.setdefault(x, []).append(Cell(i, j))
-            self._by_letter = {x: tuple(cells) for x, cells in index.items()}
+            self._index()
         return self._by_letter
 
     def _residue_index(self) -> dict[int, dict[int, frozenset[Cell]]]:
@@ -105,18 +150,7 @@ class KTableau:
         in order of first cell.  Only letters present are keys, so the index
         is no larger than the tableau, whatever its largest letter."""
         if self._by_residue is None:
-            n = self.k + 1
-            index = {}
-            for letter, cells in self._letter_index().items():
-                if len(cells) == 1:
-                    ((row, col),) = cells
-                    index[letter] = {(col - row) % n: frozenset(cells)}
-                    continue
-                by_res: dict[int, list[Cell]] = {}
-                for cell in cells:
-                    by_res.setdefault((cell.col - cell.row) % n, []).append(cell)
-                index[letter] = {r: frozenset(cs) for r, cs in by_res.items()}
-            self._by_residue = index
+            self._index()
         return self._by_residue
 
     @property
@@ -127,7 +161,7 @@ class KTableau:
     def weight(self) -> tuple[int, ...]:
         """Number of distinct residues spanned by each letter 1..n_letters."""
         index = self._residue_index()
-        return tuple(len(index.get(x, ())) for x in range(1, self.n_letters + 1))
+        return tuple([len(index.get(x, ())) for x in range(1, max(index, default=0) + 1)])
 
     def letter(self, cell: Cell) -> int:
         if not self.shape.contains(cell):
@@ -272,39 +306,46 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     """
     n = tab.k + 1
     index = tab._residue_index()
-    groups = [index.get(x, {}) for x in range(1, tab.n_letters + 1)]
-    weight = tuple(len(g) for g in groups)
-    for a, b in zip(weight, weight[1:]):
-        if a < b:
-            raise ValueError(f"weight {weight} is not a partition")
-    if any(part > tab.k for part in weight):
+    groups = [index.get(x, {}) for x in range(1, max(index, default=0) + 1)]
+    weight = tuple(map(len, groups))
+    if not all(map(ge, weight, weight[1:])):
+        raise ValueError(f"weight {weight} is not a partition")
+    if max(weight, default=0) > tab.k:
         raise ValueError(f"weight {weight} has a part exceeding k={tab.k}")
+    if not groups:
+        return []
 
+    # Letter 1's classes in the order the sequences start from them: by
+    # their right-most cell, right to left (a tie keeps set order, as a
+    # `max` over the unused classes would).
+    ones = groups[0]
+    starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
-    unused = [set(g) for g in groups]
+    unused = [set(g) for g in groups[1:]]
+    # The entries are built as plain tuples, without the Python-level
+    # `__new__` of a NamedTuple.
+    entry = tuple.__new__
     sequences: list[StandardSequence] = []
-    while unused and unused[0]:
-        first_cell = max(
-            (c for r in unused[0] for c in groups[0][r]), key=lambda c: c.col
-        )
-        prev = residue(first_cell, n)
-        unused[0].discard(prev)
-        entries = [SequenceEntry(1, prev, groups[0][prev])]
-        for idx in range(1, len(groups)):
-            if not unused[idx]:
+    for prev in starts:
+        entries = [entry(SequenceEntry, (1, prev, ones[prev]))]
+        for letter, classes in enumerate(unused, start=2):
+            if not classes:
                 break
-            classes = unused[idx]
             if len(classes) == 1:
                 (chosen,) = classes
             else:
-                chosen = min(classes, key=lambda r: (prev - r) % n)
+                # The unused class nearest counter-clockwise from prev.
+                nearest = n
+                for res in classes:
+                    if (prev - res) % n < nearest:
+                        chosen, nearest = res, (prev - res) % n
             if chosen == prev:
                 logger.debug(
-                    "standard sequence repeats residue %d at letter %d", chosen, idx + 1
+                    "standard sequence repeats residue %d at letter %d", chosen, letter
                 )
             classes.discard(chosen)
-            entries.append(SequenceEntry(idx + 1, chosen, groups[idx][chosen]))
+            entries.append(entry(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
             prev = chosen
         sequences.append(StandardSequence(tuple(entries)))
     return sequences
@@ -396,7 +437,7 @@ def _enumerate_fast(
         shape, rows, idx = stack.pop()
         if idx == len(weight):
             if target is None or shape == target:
-                found.append(KTableau(k, rows))
+                found.append(KTableau._trusted(k, rows, shape))
             continue
         for grown in _weak_strips(shape, n, weight[idx]):
             if target is not None and (

@@ -7,8 +7,10 @@ Two equivalent formulations are implemented for each statistic:
 * "morse" - manifestly non-negative recursions (M, J) driven by cyclic
             residue orders, plus a diagonal count to an addable corner.
 
-Both are read off one walk per standard sequence (`_walk`), which records
-every vector at once.
+Both are read off one step rule per standard sequence (`_steps`): `_walk`
+reads its steps as the record of every vector that `stat` displays, and
+the identity checker in `sweeps` folds them into the totals and terms it
+checks.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -19,14 +21,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cores import (
     Cell,
     Partition,
     _parse_digits,
     _strict_int,
-    n_stat,
     partition_sort_key,
     partitions,
     residue,
@@ -54,13 +55,8 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _diags_between(c1.diagonal, c2.diagonal, k + 1)
-
-
-def _diags_between(d1: int, d2: int, n: int) -> int:
-    """`diag` on two diagonal indices, with modulus n = k+1."""
-    gap = abs(d1 - d2)
-    return (gap - 1) // n if gap else 0
+    gap = abs(c1.diagonal - c2.diagonal)
+    return (gap - 1) // (k + 1) if gap else 0
 
 
 def lowest_addable(cells: Iterable[Cell]) -> Cell:
@@ -166,95 +162,118 @@ class SequenceReport(NamedTuple):
 @cache
 def _residue_orders(n: int) -> tuple[tuple[ResidueOrder, ...], tuple[ResidueOrder, ...]]:
     """The n low and the n high residue orders mod n, indexed by pivot;
-    built once per modulus and shared by every walk."""
+    built once per modulus and shared by every record."""
     return (
         tuple(ResidueOrder(n, p, "low") for p in range(n)),
         tuple(ResidueOrder(n, p, "high") for p in range(n)),
     )
 
 
-@cache
-def _residue_ranks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each order of `_residue_orders(n)`, residue -> `ResidueOrder.rank`,
-    read once per modulus: a walk compares two residues by two lookups."""
-    return tuple(
-        tuple(tuple(map(order.rank, range(n))) for order in orders)
-        for orders in _residue_orders(n)
-    )
+def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
+    """The step rule of the walk down one standard sequence, modulus n = k+1.
 
+    Yields, for each letter i in turn, the tuple
 
-def _walk(seq: StandardSequence, k: int) -> SequenceReport:
-    """Every per-letter vector of one standard sequence, in one pass.
+        (L_i, M_i, I_i, J_i, diag_prev_low_i, diag_prev_high_i,
+         diag_add_low_i, diag_add_high_i, low_pivot_i, high_pivot_i)
 
-    The restriction of the sequence to letters <= i is never built: its
-    lowest addable cell is (1, c+1) for the right-most bottom-row column c
-    among those letters, and its highest addable cell (r+1, 1) for their
-    top row r, so two running maxima stand in for it.  Only their diagonals
-    and residues are used: the addable cells sit on diagonals c and -r,
-    which pick the pivots c mod k+1 and -r mod k+1 of the low and high
-    residue orders, taken from the per-modulus `_residue_orders`; a residue
-    rises in an order when its rank (`_residue_ranks`) is smaller.  Each
-    diag count is taken on the two diagonals (`_diags_between`).  L and I
-    still follow the signed diag-to-previous rule and M and J the cyclic
-    residue orders, so the two formulations remain independent
-    computations.
+    from a small state carried from letter to letter: the right-most
+    bottom-row column c and the top row r of the restriction to letters
+    <= i, the previous letter's lowest and highest cells and residue, and
+    the running L, M, I and J.  Every line follows one definition:
 
+    * the restriction is never built.  Its lowest addable cell is (1, c+1)
+      and its highest addable cell (r+1, 1), on diagonals c and -r;
+    * diag_add_low_i / diag_add_high_i: the diagonals of the lower cell's
+      residue between the lowest (highest) cell of letter i and the lowest
+      (highest) addable cell (`diag`);
+    * L and I, the signed diag rule of the lp formulation: L rises by
+      1 + diag_prev_low when the lowest cell of i sits in a higher row than
+      that of i-1 and falls by diag_prev_low otherwise; I rises by
+      1 + diag_prev_high when the highest cell of i sits in a column right
+      of that of i-1 and falls by diag_prev_high otherwise;
+    * M and J, the cyclic residue orders of the morse formulation: M rises
+      by 1 when the residue of i ranks above that of i-1 in the low order
+      pivoted at the lowest addable cell's residue c mod n, J likewise in
+      the high order pivoted at -r mod n (`ResidueOrder.rank`).
+
+    So lp and morse stay two independent computations.  Letter 1 has all
+    four indices 0, no previous diag and no order, so its pivots are None.
     Raises ValueError when letter 1 has no bottom-row cell, which no
     k-tableau allows, whichever formulation the caller reads.
     """
-    n = k + 1
-    lows, highs = _residue_orders(n)
-    low_ranks, high_ranks = _residue_ranks(n)
-    L, M, I, J = [0], [0], [0], [0]
-    d_prev_low, d_prev_high = [0], [0]
-    d_add_low, d_add_high = [], []
-    low_orders: list[ResidueOrder | None] = [None]
-    high_orders: list[ResidueOrder | None] = [None]
-    bottom_col = top_row = prev_low_diag = prev_high_diag = 0
-    prev_low = prev_high = prev_res = None
-    for e in seq.entries:
-        low, high = min(e.cells), max(e.cells)
-        for c in e.cells:
-            if c.row == 1 and c.col > bottom_col:
-                bottom_col = c.col
+    L = M = I = J = 0
+    bottom_col = top_row = 0
+    prev_res = None
+    for _, res, cells in seq.entries:
+        if len(cells) == 1:
+            (low,) = cells
+            high = low
+        else:
+            low, high = min(cells), max(cells)
+        low_row, low_col = low
+        high_row, high_col = high
+        # Only the lowest cell can show that the entry meets the bottom row.
+        if low_row == 1:
+            col = low_col if low is high else max([c for r, c in cells if r == 1])
+            if col > bottom_col:
+                bottom_col = col
         if not bottom_col:
             raise ValueError("cell set has no bottom-row cell")
-        if high.row > top_row:
-            top_row = high.row
-        low_diag, high_diag = low.col - low.row, high.col - high.row
-        d_add_low.append(_diags_between(low_diag, bottom_col, n))
-        d_add_high.append(_diags_between(high_diag, -top_row, n))
-        if prev_res is not None:
-            d = _diags_between(low_diag, prev_low_diag, n)
-            d_prev_low.append(d)
-            L.append(L[-1] + 1 + d if prev_low.row < low.row else L[-1] - d)
-            d = _diags_between(high_diag, prev_high_diag, n)
-            d_prev_high.append(d)
-            I.append(I[-1] + 1 + d if high.col > prev_high.col else I[-1] - d)
-            res = e.residue
-            pivot = bottom_col % n
-            low_orders.append(lows[pivot])
-            rank = low_ranks[pivot]
-            M.append(M[-1] + 1 if rank[res] < rank[prev_res] else M[-1])
-            pivot = -top_row % n
-            high_orders.append(highs[pivot])
-            rank = high_ranks[pivot]
-            J.append(J[-1] + 1 if rank[res] < rank[prev_res] else J[-1])
-        prev_low, prev_high, prev_res = low, high, e.residue
-        prev_low_diag, prev_high_diag = low_diag, high_diag
+        if high_row > top_row:
+            top_row = high_row
+        # Each diag count is `diag` on the two diagonal indices, written
+        # out: (gap - 1) // n for a gap of at least one diagonal.
+        low_diag, high_diag = low_col - low_row, high_col - high_row
+        gap = abs(low_diag - bottom_col)
+        add_low = (gap - 1) // n if gap else 0
+        gap = abs(high_diag + top_row)
+        add_high = (gap - 1) // n if gap else 0
+        if prev_res is None:
+            yield 0, 0, 0, 0, 0, 0, add_low, add_high, None, None
+        else:
+            gap = abs(low_diag - prev_low_diag)
+            prev_low = (gap - 1) // n if gap else 0
+            L += 1 + prev_low if prev_low_row < low_row else -prev_low
+            gap = abs(high_diag - prev_high_diag)
+            prev_high = (gap - 1) // n if gap else 0
+            I += 1 + prev_high if high_col > prev_high_col else -prev_high
+            # A residue's rank is its distance from the pivot going up the
+            # low order, or down the high order (`ResidueOrder.rank`).
+            low_pivot = bottom_col % n
+            if (res - low_pivot) % n < (prev_res - low_pivot) % n:
+                M += 1
+            high_pivot = -top_row % n
+            if (high_pivot - res) % n < (high_pivot - prev_res) % n:
+                J += 1
+            yield L, M, I, J, prev_low, prev_high, add_low, add_high, low_pivot, high_pivot
+        prev_res = res
+        prev_low_row, prev_low_diag = low_row, low_diag
+        prev_high_col, prev_high_diag = high_col, high_diag
+
+
+def _walk(seq: StandardSequence, k: int) -> SequenceReport:
+    """Every per-letter vector of one standard sequence: the steps of
+    `_steps` read as columns, with each pivot's `ResidueOrder` for display."""
+    n = k + 1
+    lows, highs = _residue_orders(n)
+    steps = list(_steps(seq, n))
+    (L, M, I, J, prev_low, prev_high, add_low, add_high, low_pivots, high_pivots) = (
+        zip(*steps) if steps else ((),) * 10
+    )
     return SequenceReport(
         letters=tuple(e.letter for e in seq.entries),
         residues=seq.residues(),
-        L=tuple(L),
-        M=tuple(M),
-        I=tuple(I),
-        J=tuple(J),
-        diag_prev_low=tuple(d_prev_low),
-        diag_prev_high=tuple(d_prev_high),
-        diag_add_low=tuple(d_add_low),
-        diag_add_high=tuple(d_add_high),
-        low_orders=tuple(low_orders),
-        high_orders=tuple(high_orders),
+        L=L,
+        M=M,
+        I=I,
+        J=J,
+        diag_prev_low=prev_low,
+        diag_prev_high=prev_high,
+        diag_add_low=add_low,
+        diag_add_high=add_high,
+        low_orders=tuple(None if p is None else lows[p] for p in low_pivots),
+        high_orders=tuple(None if p is None else highs[p] for p in high_pivots),
     )
 
 
@@ -482,10 +501,11 @@ def classical_cocharge(rows: Sequence[Sequence[int]]) -> int:
 
 def _classical_statistics(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(classical_charge(rows), classical_cocharge(rows)) from one charge
-    computation.  The charge raises first, and once it exists the weight is
-    a partition."""
+    computation, which raises first.  The weight is counted only there:
+    n(weight), the sum of (i-1) * weight_i, is the sum of letter - 1 over
+    the cells."""
     charge = classical_charge(rows)
-    return charge, n_stat(Partition(_tableau_weight(rows))) - charge
+    return charge, sum(map(sum, rows)) - sum(map(len, rows)) - charge
 
 
 def enumerate_ssyt(

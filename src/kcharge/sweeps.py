@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import add
 
 from .cores import (
     Cell,
@@ -24,12 +23,13 @@ from .cores import (
 )
 from .ktableaux import (
     KTableau,
+    StandardSequence,
     enumerate_k_tableaux,
     standard_sequences,
     to_text,
     validate,
 )
-from .statistics import _classical_statistics, _walk
+from .statistics import _classical_statistics, _steps
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,41 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
     ]
 
 
+def _fold_steps(
+    seqs: list[StandardSequence], n: int
+) -> tuple[int, int, list[tuple[list[int], list[int], list[int], list[int]]]]:
+    """What the checker reads of the walks, folded straight from the step
+    rule (`statistics._steps`) of each standard sequence, modulus n.
+
+    Returns the lp cocharge and charge (the sums of every L and I) and, per
+    sequence, four per-letter lists: the terms M_i + diag_add_low_i and
+    J_i + diag_add_high_i, which sum to the sequence's morse cocharge and
+    charge, and the diag_add_low and diag_add_high vectors.  These equal
+    what the `statistics.sequence_reports` records hold, but no record and
+    no residue order is built.
+    """
+    cocharge_lp = charge_lp = 0
+    folded = []
+    for seq in seqs:
+        low_terms, high_terms, add_lows, add_highs = [], [], [], []
+        for L, M, I, J, _, _, add_low, add_high, _, _ in _steps(seq, n):
+            cocharge_lp += L
+            charge_lp += I
+            low_terms.append(M + add_low)
+            high_terms.append(J + add_high)
+            add_lows.append(add_low)
+            add_highs.append(add_high)
+        folded.append((low_terms, high_terms, add_lows, add_highs))
+    return cocharge_lp, charge_lp, folded
+
+
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
     Returns (number of identities checked, failures).  The facts are read
-    in fused passes.  One pass over the walks gives the four totals and
-    each walk's terms.  The letter pass, over letters 1..n_letters, gives
+    in fused passes.  One fold over the steps of the standard sequences
+    (`_fold_steps`) gives the four totals, each sequence's terms and the
+    diagonal vectors.  The letter pass, over letters 1..n_letters, gives
     each restriction's shape, each letter's cell count and, on a standard
     tableau, both diagonal rules.  The entry pass, over the entries of the
     standard sequences, gives the partition of the cells and each entry's
@@ -79,7 +108,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     charge and cocharge from one classical charge computation.
 
     Failures are reported in a fixed order, whichever pass found them: the
-    totals, the terms of each walk, the restrictions by letter, the
+    totals, the terms of each sequence, the restrictions by letter, the
     partition of the cells, the entries, letter 1, the standard duality and
     then its two rules letter by letter, and last the two large-k
     identities.  Each failure's detail text is rendered only when that
@@ -87,7 +116,9 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """
     k = tab.k
     n = k + 1
-    mu = Partition(tab.weight)
+    seqs = standard_sequences(tab)
+    # `standard_sequences` raises unless the weight is a partition.
+    mu = Partition._trusted(tab.weight)
     lam = tab.shape
     checked = 0
     failures: list[SweepFailure] = []
@@ -95,18 +126,9 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     def fail(identity: str, detail: str) -> None:
         failures.append(SweepFailure(identity, detail, to_text(tab)))
 
-    seqs = standard_sequences(tab)
-    reports = [_walk(seq, k) for seq in seqs]
-    # Per walk, the terms M_i + diag_add_low_i and J_i + diag_add_high_i;
-    # they sum to the walk's morse cocharge and charge.
-    terms = [
-        (list(map(add, r.M, r.diag_add_low)), list(map(add, r.J, r.diag_add_high)))
-        for r in reports
-    ]
-    cocharge_lp = sum(sum(r.L) for r in reports)
-    charge_lp = sum(sum(r.I) for r in reports)
-    cocharge_morse = sum(sum(low) for low, _ in terms)
-    charge_morse = sum(sum(high) for _, high in terms)
+    cocharge_lp, charge_lp, folded = _fold_steps(seqs, n)
+    cocharge_morse = sum([sum(low) for low, _, _, _ in folded])
+    charge_morse = sum([sum(high) for _, high, _, _ in folded])
     # The k-interior's size; its cells are never read.
     interior = lam.size() - _hook_facts(lam, n)[1]
 
@@ -130,7 +152,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     checked += 1
     if cocharge_morse < 0:
         fail("cocharge is non-negative", f"cocharge={cocharge_morse}")
-    for low, high in terms:
+    for low, high, _, _ in folded:
         checked += 1
         if min(low, default=0) < 0 or min(high, default=0) < 0:
             fail("non-negative term by term", f"terms {low} / {high}")
@@ -140,9 +162,10 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     # so its cells are its entry in the one standard sequence: the first
     # and the last in the letter index are its lowest and highest
     # occurrences, and all its diagonals have their residue.
-    standard = bool(mu) and all(part == 1 for part in mu)
+    # The parts of a partition are at most its first.
+    standard = bool(mu) and mu[0] == 1
     if standard:
-        d_low, d_high = reports[0].diag_add_low, reports[0].diag_add_high
+        _, _, d_low, d_high = folded[0]
         # residue -> the diagonals of that residue met by letters <= i.
         meeting: dict[int, set[int]] = {}
     by_letter = tab._letter_index()
@@ -192,8 +215,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     covered = 0
     bad_entries = []
     for seq in seqs:
-        for e in seq.entries:
-            cells = e.cells
+        for letter, _, cells in seq.entries:
             seen |= cells
             covered += len(cells)
             # One cell has one residue, one row and one column.
@@ -204,7 +226,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                     and len(set(rows)) == len(rows)
                     and len(set(cols)) == len(cols)
                 ):
-                    bad_entries.append(f"letter {e.letter} cells {sorted(cells)}")
+                    bad_entries.append(f"letter {letter} cells {sorted(cells)}")
         checked += len(seq.entries)
     checked += 1
     if not covered == len(seen) == lam.size():
@@ -224,7 +246,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
 
     if standard:
         m = len(mu)
-        low_side, high_side = sum(terms[0][0]), sum(terms[0][1])
+        low_side, high_side = sum(folded[0][0]), sum(folded[0][1])
         checked += 1
         if high_side != m * (m - 1) // 2 - interior - low_side:
             fail(

@@ -446,6 +446,46 @@ def test_enumerate_rejects_a_zero_weight_part(capsys):
     assert captured.err == "error: weight parts must be positive, got '0,1'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,stdin,message",
+    [
+        (
+            ["enumerate", "--k", "3", "--weight", "2,1", "--shape", "1,2"],
+            "",
+            "shape must be weakly decreasing, got '1,2'",
+        ),
+        (
+            ["table", "--k", "3", "--weight", "2,1", "--shape", "1,2"],
+            "",
+            "shape must be weakly decreasing, got '1,2'",
+        ),
+        (
+            ["table", "--classical", "--weight", "2,1", "--shape", "1,2"],
+            "",
+            "shape must be weakly decreasing, got '1,2'",
+        ),
+        (
+            ["stat", "-"],
+            '{"k":2,"rows":[[1,1],[]]}',
+            "row lengths (bottom row first) must be positive, got (2, 0)",
+        ),
+        (
+            ["stat", "-"],
+            "k=2\n2_2 3_0\n1_0\n",
+            "row lengths (bottom row first) must be weakly decreasing, got (1, 2)",
+        ),
+    ],
+)
+def test_shape_errors_name_what_the_user_wrote(monkeypatch, capsys, argv, stdin, message):
+    # The --shape argument is quoted as given, and a tableau's row lengths
+    # are named bottom row first, not as internal partition parts.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_failure_output_lists_ten_counterexamples(monkeypatch, capsys, fmt):
     # The sweep is stubbed: a real failing range would change its output

@@ -249,6 +249,17 @@ def test_fast_equals_oracle(k, weight):
     assert enumerate_k_tableaux(k, weight) == enumerate_k_tableaux(k, weight, strategy="oracle")
 
 
+def test_enumerated_tableaux_equal_the_checked_construction():
+    # The enumerator builds its tableaux without the constructor's checks.
+    for k, mu in weights_up_to(4, 6):
+        for tab in enumerate_k_tableaux(k, mu):
+            checked = KTableau(tab.k, tab.rows)
+            assert (tab.k, tab.rows, tab.shape) == (checked.k, checked.rows, checked.shape)
+            assert type(tab.shape) is Partition and type(tab.rows) is tuple
+            assert all(type(row) is tuple for row in tab.rows)
+            assert tab._by_letter is None and tab._by_residue is None
+
+
 def test_enumeration_is_canonically_ordered():
     tabs = enumerate_k_tableaux(3, (1, 1, 1, 1))
     keys = [(partition_sort_key(t.shape), t.reading_word()) for t in tabs]
@@ -760,3 +771,32 @@ def test_sequence_entry_is_an_immutable_hashable_record():
     assert repr(SequenceEntry(letter=1, residue=0, cells=frozenset({Cell(1, 1)}))) == (
         "SequenceEntry(letter=1, residue=0, cells=frozenset({Cell(row=1, col=1)}))"
     )
+
+
+def test_random_tableaux_validate_and_index_as_a_literal_grouping(random_tableaux):
+    # Seeded k-tableaux of 15-40 cells, beyond the exhaustive sweeps: the
+    # one-pass indexes equal a grouping of freshly built `Cell`s.
+    assert len(random_tableaux) >= 200
+    for k, tab in random_tableaux:
+        assert 15 <= tab.shape.size() <= 40
+        assert validate(tab), to_text(tab)
+        n = k + 1
+        by_letter, by_residue = {}, {}
+        for i, row in enumerate(tab.rows, start=1):
+            for j, x in enumerate(row, start=1):
+                cell = Cell(i, j)
+                by_letter.setdefault(x, []).append(cell)
+                by_residue.setdefault(x, {}).setdefault(residue(cell, n), set()).add(cell)
+        fresh = KTableau(k, tab.rows)
+        assert fresh._letter_index() == {x: tuple(cs) for x, cs in by_letter.items()}
+        classes = fresh._residue_index()
+        assert classes == {
+            x: {r: frozenset(cs) for r, cs in by_res.items()} for x, by_res in by_residue.items()
+        }
+        # Residues in order of first cell, and every entry a `Cell`.
+        assert all(list(classes[x]) == list(by_residue[x]) for x in classes)
+        assert all(
+            type(c) is Cell and (c.row, c.col) == c
+            for cells in fresh._letter_index().values()
+            for c in cells
+        )

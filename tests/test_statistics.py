@@ -823,6 +823,90 @@ def test_formulations_agree_letter_by_letter_on_known_counterexamples(text):
     assert _per_letter_mismatches(tab) == []
 
 
+def _folded(tab):
+    """What `check_tableau_identities` folds from the step rule."""
+    return sweeps._fold_steps(standard_sequences(tab), tab.k + 1)
+
+
+def _recorded(tab):
+    """The same values, read from the `sequence_reports` records: the lp
+    totals and, per sequence, the terms M_i + diag_add_low_i and
+    J_i + diag_add_high_i and the two diag_add vectors."""
+    reports = sequence_reports(tab)
+    return (
+        sum(sum(r.L) for r in reports),
+        sum(sum(r.I) for r in reports),
+        [
+            (
+                [m + d for m, d in zip(r.M, r.diag_add_low)],
+                [j + d for j, d in zip(r.J, r.diag_add_high)],
+                list(r.diag_add_low),
+                list(r.diag_add_high),
+            )
+            for r in reports
+        ],
+    )
+
+
+def test_checker_fold_equals_the_stat_record():
+    # Every standard sequence with k <= 5 and |weight| <= 8, and the 7
+    # known counterexamples at 6/9, where the morse terms are wrong in the
+    # same way in both.
+    walked = 0
+    for k, mu in sweeps.weights_up_to(5, 8):
+        for tab in enumerate_k_tableaux(k, mu):
+            folded = _folded(tab)
+            assert folded == _recorded(tab), ktableaux.to_text(tab)
+            walked += len(folded[2])
+    assert walked == 5113
+    for text in PER_LETTER_FAILURES:
+        tab = ktableaux.parse_text(text)
+        assert _folded(tab) == _recorded(tab), text
+
+
+def test_checker_fold_equals_the_stat_record_on_random_tableaux(random_tableaux):
+    for _, tab in random_tableaux:
+        assert _folded(tab) == _recorded(tab), ktableaux.to_text(tab)
+
+
+def test_lp_equals_the_classical_pair_on_random_large_k_tableaux(random_tableaux):
+    large = [tab for k, tab in random_tableaux if k > tab.shape[0] + len(tab.shape) - 2]
+    assert len(large) >= 30
+    for tab in large:
+        assert (k_charge(tab, "lp"), k_cocharge(tab, "lp")) == (
+            statistics.classical_charge(tab.rows),
+            statistics.classical_cocharge(tab.rows),
+        ), ktableaux.to_text(tab)
+
+
+def test_passing_checker_builds_no_record_and_no_residue_order(
+    monkeypatch, tab_semistandard_13, tab_standard_9, tab_weight_222
+):
+    records, orders = [], []
+    record = statistics.SequenceReport
+    init = ResidueOrder.__init__
+
+    def counting_record(*args, **kwargs):
+        records.append(args)
+        return record(*args, **kwargs)
+
+    def counting_order(self, *args, **kwargs):
+        orders.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(statistics, "SequenceReport", counting_record)
+    monkeypatch.setattr(ResidueOrder, "__init__", counting_order)
+    # From a cold per-modulus table, so that building the orders would show.
+    statistics._residue_orders.cache_clear()
+    for tab in (tab_semistandard_13, tab_standard_9, tab_weight_222):
+        checked, failures = sweeps.check_tableau_identities(tab)
+        assert checked and not failures
+    assert records == [] and orders == []
+    # The counters count: the stat record builds both.
+    cli._stat_payload(tab_semistandard_13)
+    assert records and orders
+
+
 # What `check_tableau_identities` reports on each of PER_LETTER_FAILURES:
 # (identities checked, [(identity, detail)] in reporting order).  These pin
 # the failure path on real k-tableaux; ROADMAP item 2 replaces them with
