@@ -156,17 +156,9 @@ def _stat_payload(tab) -> dict:
             "morse": sum(r.cocharge_morse() for r in reports),
         },
         "sequences": [
+            # The record's fields in order, each order as its string.
             {
-                "letters": list(r.letters),
-                "residues": list(r.residues),
-                "L": list(r.L),
-                "M": list(r.M),
-                "I": list(r.I),
-                "J": list(r.J),
-                "diag_prev_low": list(r.diag_prev_low),
-                "diag_prev_high": list(r.diag_prev_high),
-                "diag_add_low": list(r.diag_add_low),
-                "diag_add_high": list(r.diag_add_high),
+                **r._asdict(),
                 "low_orders": [str(o) if o else None for o in r.low_orders],
                 "high_orders": [str(o) if o else None for o in r.high_orders],
             }

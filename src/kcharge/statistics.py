@@ -7,10 +7,9 @@ Two equivalent formulations are implemented for each statistic:
 * "morse" - manifestly non-negative recursions (M, J) driven by cyclic
             residue orders, plus a diagonal count to an addable corner.
 
-Both are read off one step rule per standard sequence (`_steps`): `_walk`
-reads its steps as the record of every vector that `stat` displays, and
-the identity checker in `sweeps` folds them into the totals and terms it
-checks.
+Both are read off one step rule per standard sequence (`_steps`), whose
+steps are read as columns, one per vector: by `_walk` as the record that
+`stat` displays, and by the identity checker in `sweeps`.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cores import (
@@ -159,14 +158,10 @@ class SequenceReport(NamedTuple):
         return sum(self.J) + sum(self.diag_add_high)
 
 
-@cache
-def _residue_orders(n: int) -> tuple[tuple[ResidueOrder, ...], tuple[ResidueOrder, ...]]:
-    """The n low and the n high residue orders mod n, indexed by pivot;
-    built once per modulus and shared by every record."""
-    return (
-        tuple(ResidueOrder(n, p, "low") for p in range(n)),
-        tuple(ResidueOrder(n, p, "high") for p in range(n)),
-    )
+# ResidueOrder(modulus, pivot, direction), each built on the first record
+# that shows it and shared by the later ones; bounded, as a large k has
+# 2(k+1) orders and a record shows at most two per letter.
+_residue_order = lru_cache(maxsize=1024)(ResidueOrder)
 
 
 def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
@@ -256,7 +251,6 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """Every per-letter vector of one standard sequence: the steps of
     `_steps` read as columns, with each pivot's `ResidueOrder` for display."""
     n = k + 1
-    lows, highs = _residue_orders(n)
     steps = list(_steps(seq, n))
     (L, M, I, J, prev_low, prev_high, add_low, add_high, low_pivots, high_pivots) = (
         zip(*steps) if steps else ((),) * 10
@@ -272,8 +266,10 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
         diag_prev_high=prev_high,
         diag_add_low=add_low,
         diag_add_high=add_high,
-        low_orders=tuple(None if p is None else lows[p] for p in low_pivots),
-        high_orders=tuple(None if p is None else highs[p] for p in high_pivots),
+        low_orders=tuple(None if p is None else _residue_order(n, p, "low") for p in low_pivots),
+        high_orders=tuple(
+            None if p is None else _residue_order(n, p, "high") for p in high_pivots
+        ),
     )
 
 

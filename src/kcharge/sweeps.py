@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import add
 
 from .cores import (
     Cell,
@@ -23,7 +24,6 @@ from .cores import (
 )
 from .ktableaux import (
     KTableau,
-    StandardSequence,
     enumerate_k_tableaux,
     standard_sequences,
     to_text,
@@ -66,46 +66,19 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
     ]
 
 
-def _fold_steps(
-    seqs: list[StandardSequence], n: int
-) -> tuple[int, int, list[tuple[list[int], list[int], list[int], list[int]]]]:
-    """What the checker reads of the walks, folded straight from the step
-    rule (`statistics._steps`) of each standard sequence, modulus n.
-
-    Returns the lp cocharge and charge (the sums of every L and I) and, per
-    sequence, four per-letter lists: the terms M_i + diag_add_low_i and
-    J_i + diag_add_high_i, which sum to the sequence's morse cocharge and
-    charge, and the diag_add_low and diag_add_high vectors.  These equal
-    what the `statistics.sequence_reports` records hold, but no record and
-    no residue order is built.
-    """
-    cocharge_lp = charge_lp = 0
-    folded = []
-    for seq in seqs:
-        low_terms, high_terms, add_lows, add_highs = [], [], [], []
-        for L, M, I, J, _, _, add_low, add_high, _, _ in _steps(seq, n):
-            cocharge_lp += L
-            charge_lp += I
-            low_terms.append(M + add_low)
-            high_terms.append(J + add_high)
-            add_lows.append(add_low)
-            add_highs.append(add_high)
-        folded.append((low_terms, high_terms, add_lows, add_highs))
-    return cocharge_lp, charge_lp, folded
-
-
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
     Returns (number of identities checked, failures).  The facts are read
-    in fused passes.  One fold over the steps of the standard sequences
-    (`_fold_steps`) gives the four totals, each sequence's terms and the
-    diagonal vectors.  The letter pass, over letters 1..n_letters, gives
-    each restriction's shape, each letter's cell count and, on a standard
-    tableau, both diagonal rules.  The entry pass, over the entries of the
-    standard sequences, gives the partition of the cells and each entry's
-    residue, rows and columns.  The large-k identity reads the classical
-    charge and cocharge from one classical charge computation.
+    in fused passes.  Each standard sequence is read as `_walk` reads it,
+    as the columns of its steps (`statistics._steps`); they give the four
+    totals, each sequence's terms and the diagonal vectors.  The letter
+    pass, over letters 1..n_letters, gives each restriction's shape, each
+    letter's cell count and, on a standard tableau, both diagonal rules.
+    The entry pass, over the entries of the standard sequences, gives the
+    partition of the cells and each entry's residue, rows and columns.  The
+    large-k identity reads the classical charge and cocharge from one
+    classical charge computation.
 
     Failures are reported in a fixed order, whichever pass found them: the
     totals, the terms of each sequence, the restrictions by letter, the
@@ -126,9 +99,16 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     def fail(identity: str, detail: str) -> None:
         failures.append(SweepFailure(identity, detail, to_text(tab)))
 
-    cocharge_lp, charge_lp, folded = _fold_steps(seqs, n)
-    cocharge_morse = sum([sum(low) for low, _, _, _ in folded])
-    charge_morse = sum([sum(high) for _, high, _, _ in folded])
+    cocharge_lp = charge_lp = cocharge_morse = charge_morse = 0
+    # Per sequence, the columns that the morse terms are read from.
+    walks = []
+    for seq in seqs:
+        L, M, I, J, _, _, add_low, add_high, _, _ = zip(*_steps(seq, n))
+        cocharge_lp += sum(L)
+        charge_lp += sum(I)
+        cocharge_morse += sum(M) + sum(add_low)
+        charge_morse += sum(J) + sum(add_high)
+        walks.append((M, J, add_low, add_high))
     # The k-interior's size; its cells are never read.
     interior = lam.size() - _hook_facts(lam, n)[1]
 
@@ -152,10 +132,13 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     checked += 1
     if cocharge_morse < 0:
         fail("cocharge is non-negative", f"cocharge={cocharge_morse}")
-    for low, high, _, _ in folded:
+    for M, J, add_low, add_high in walks:
         checked += 1
-        if min(low, default=0) < 0 or min(high, default=0) < 0:
-            fail("non-negative term by term", f"terms {low} / {high}")
+        if min(map(add, M, add_low)) < 0 or min(map(add, J, add_high)) < 0:
+            fail(
+                "non-negative term by term",
+                f"terms {list(map(add, M, add_low))} / {list(map(add, J, add_high))}",
+            )
 
     # The letter pass.  The restriction to letters <= i keeps each row's
     # count of them.  On a standard tableau each letter spans one residue,
@@ -165,7 +148,8 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     # The parts of a partition are at most its first.
     standard = bool(mu) and mu[0] == 1
     if standard:
-        _, _, d_low, d_high = folded[0]
+        # Letter 1 has one cell, so the tableau has one standard sequence.
+        _, _, d_low, d_high = walks[0]
         # residue -> the diagonals of that residue met by letters <= i.
         meeting: dict[int, set[int]] = {}
     by_letter = tab._letter_index()
@@ -246,12 +230,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
 
     if standard:
         m = len(mu)
-        low_side, high_side = sum(folded[0][0]), sum(folded[0][1])
         checked += 1
-        if high_side != m * (m - 1) // 2 - interior - low_side:
+        if charge_morse != m * (m - 1) // 2 - interior - cocharge_morse:
             fail(
                 "standard duality with explicit constant",
-                f"{high_side} != {m}*{m - 1}/2 - {interior} - {low_side}",
+                f"{charge_morse} != {m}*{m - 1}/2 - {interior} - {cocharge_morse}",
             )
         checked += 2 * m
         for identity, detail in rule_failures:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -439,6 +440,30 @@ def test_second_walk_builds_no_residue_order(monkeypatch, tab_semistandard_13):
     assert len(first.low_orders) == len(seq) > 2
 
 
+def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, capsys):
+    built = []
+    original = ResidueOrder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidueOrder, "__init__", counting)
+    statistics._residue_order.cache_clear()
+    # One letter shows no order, whatever the modulus.
+    path = tmp_path / "one_cell.txt"
+    path.write_text("k=400000\n1_0\n")
+    assert cli.main(["stat", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sequences"][0]["low_orders"] == [None]
+    assert built == []
+    # Letter 2 shows one low and one high order.
+    path.write_text("k=2\n1_0 2_1\n")
+    assert cli.main(["stat", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 > 0 > 1" in out and "2 > 1 > 0" in out
+    assert built == [(3, 2, "low"), (3, 2, "high")]
+
+
 @pytest.mark.parametrize("formulation", ["lp", "morse"])
 def test_letter_one_off_the_bottom_row_raises(formulation):
     tab = KTableau(2, [[2], [1]])
@@ -823,50 +848,50 @@ def test_formulations_agree_letter_by_letter_on_known_counterexamples(text):
     assert _per_letter_mismatches(tab) == []
 
 
-def _folded(tab):
-    """What `check_tableau_identities` folds from the step rule."""
-    return sweeps._fold_steps(standard_sequences(tab), tab.k + 1)
+def _predicted_failures(tab):
+    """The identities that the `stat` payload says the checker must fail,
+    in reporting order: the two formulations' totals, the duality and, at
+    large k, the classical pair."""
+    payload = cli._stat_payload(tab)
+    charge, cocharge = payload["k_charge"], payload["k_cocharge"]
+    predicted = []
+    if cocharge["lp"] != cocharge["morse"]:
+        predicted.append("cocharge formulations agree")
+    if charge["lp"] != charge["morse"]:
+        predicted.append("charge formulations agree")
+    if charge["morse"] + cocharge["morse"] != payload["n_weight"] - payload["interior"]:
+        predicted.append("charge + cocharge = n(weight) - interior")
+    shape = payload["shape"]
+    if tab.k > shape[0] + len(shape) - 2 and (charge["morse"], cocharge["morse"]) != (
+        statistics.classical_charge(tab.rows),
+        statistics.classical_cocharge(tab.rows),
+    ):
+        predicted.append("large-k charge matches the classical statistic")
+    return predicted
 
 
-def _recorded(tab):
-    """The same values, read from the `sequence_reports` records: the lp
-    totals and, per sequence, the terms M_i + diag_add_low_i and
-    J_i + diag_add_high_i and the two diag_add vectors."""
-    reports = sequence_reports(tab)
-    return (
-        sum(sum(r.L) for r in reports),
-        sum(sum(r.I) for r in reports),
-        [
-            (
-                [m + d for m, d in zip(r.M, r.diag_add_low)],
-                [j + d for j, d in zip(r.J, r.diag_add_high)],
-                list(r.diag_add_low),
-                list(r.diag_add_high),
-            )
-            for r in reports
-        ],
-    )
+def _checker_failures(tab):
+    return [failure.identity for failure in sweeps.check_tableau_identities(tab)[1]]
 
 
-def test_checker_fold_equals_the_stat_record():
-    # Every standard sequence with k <= 5 and |weight| <= 8, and the 7
-    # known counterexamples at 6/9, where the morse terms are wrong in the
-    # same way in both.
-    walked = 0
+def test_checker_failures_are_the_stat_payload_prediction():
+    # Every tableau with k <= 5 and |weight| <= 8, and the 7 known
+    # counterexamples at 6/9, where the payload shows lp and morse apart.
+    tableaux = 0
     for k, mu in sweeps.weights_up_to(5, 8):
         for tab in enumerate_k_tableaux(k, mu):
-            folded = _folded(tab)
-            assert folded == _recorded(tab), ktableaux.to_text(tab)
-            walked += len(folded[2])
-    assert walked == 5113
+            assert _checker_failures(tab) == _predicted_failures(tab), ktableaux.to_text(tab)
+            tableaux += 1
+    assert tableaux == 2873
     for text in PER_LETTER_FAILURES:
         tab = ktableaux.parse_text(text)
-        assert _folded(tab) == _recorded(tab), text
+        predicted = _predicted_failures(tab)
+        assert predicted and _checker_failures(tab) == predicted, text
 
 
-def test_checker_fold_equals_the_stat_record_on_random_tableaux(random_tableaux):
+def test_checker_failures_are_the_stat_payload_prediction_on_random_tableaux(random_tableaux):
     for _, tab in random_tableaux:
-        assert _folded(tab) == _recorded(tab), ktableaux.to_text(tab)
+        assert _checker_failures(tab) == _predicted_failures(tab), ktableaux.to_text(tab)
 
 
 def test_lp_equals_the_classical_pair_on_random_large_k_tableaux(random_tableaux):
@@ -896,8 +921,8 @@ def test_passing_checker_builds_no_record_and_no_residue_order(
 
     monkeypatch.setattr(statistics, "SequenceReport", counting_record)
     monkeypatch.setattr(ResidueOrder, "__init__", counting_order)
-    # From a cold per-modulus table, so that building the orders would show.
-    statistics._residue_orders.cache_clear()
+    # From a cold order cache, so that building the orders would show.
+    statistics._residue_order.cache_clear()
     for tab in (tab_semistandard_13, tab_standard_9, tab_weight_222):
         checked, failures = sweeps.check_tableau_identities(tab)
         assert checked and not failures
