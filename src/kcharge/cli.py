@@ -175,7 +175,16 @@ def _stat_text(payload: dict) -> str:
             weight="(" + ",".join(str(p) for p in payload["weight"]) + ")",
         )
     ]
-    order_width = max(4 * payload["k"] + 1, len("low order"))
+    # As wide as the longest order shown, and at least the header.
+    order_width = max(
+        [len("low order")]
+        + [
+            len(order)
+            for seq in payload["sequences"]
+            for order in seq["low_orders"] + seq["high_orders"]
+            if order
+        ]
+    )
     for num, seq in enumerate(payload["sequences"], start=1):
         lines.append(f"sequence {num}:")
         header = (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from operator import ge, le, lt
+from operator import attrgetter, ge, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
@@ -112,11 +112,13 @@ class KTableau:
         """Both indexes, from one pass over the cells in reading order.
 
         Each `Cell` is made as a plain tuple, without the Python-level
-        `__new__` of a NamedTuple."""
+        `__new__` of a NamedTuple.  Each residue class is gathered as a
+        list and then turned into a frozenset in place, in its letter's
+        dict, so no dict is rebuilt."""
         n = self.k + 1
         make = tuple.__new__
         by_letter: dict[int, list[Cell]] = {}
-        by_residue: dict[int, dict[int, list[Cell]]] = {}
+        by_residue: dict[int, dict[int, list[Cell] | frozenset[Cell]]] = {}
         for i, row in enumerate(self.rows, start=1):
             for j, x in enumerate(row, start=1):
                 cell = make(Cell, (i, j))
@@ -134,10 +136,10 @@ class KTableau:
                 else:
                     same.append(cell)
         self._by_letter = {x: tuple(cells) for x, cells in by_letter.items()}
-        self._by_residue = {
-            x: {res: frozenset(cells) for res, cells in classes.items()}
-            for x, classes in by_residue.items()
-        }
+        for classes in by_residue.values():
+            for res, cells in classes.items():
+                classes[res] = frozenset(cells)
+        self._by_residue = by_residue
 
     def _letter_index(self) -> dict[int, tuple[Cell, ...]]:
         """letter -> its cells, bottom row first and left to right."""
@@ -205,6 +207,10 @@ class ValidationReport:
         return self.ok
 
 
+# The report of every valid tableau; the class is frozen, so one is shared.
+_VALID = ValidationReport(True)
+
+
 def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationReport:
     """Check all k-tableau invariants; never raises.
 
@@ -267,7 +273,7 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
             f"residue classes sum to {total} but shape has {hooks} k-bounded hooks",
             None,
         )
-    return ValidationReport(True)
+    return _VALID
 
 
 class SequenceEntry(NamedTuple):
@@ -317,9 +323,12 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
 
     # Letter 1's classes in the order the sequences start from them: by
     # their right-most cell, right to left (a tie keeps set order, as a
-    # `max` over the unused classes would).
+    # `max` over the unused classes would).  A single class needs no sort.
     ones = groups[0]
-    starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
+    if len(ones) == 1:
+        starts = ones
+    else:
+        starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups[1:]]
@@ -367,12 +376,6 @@ def lowest_occurrence(seq: StandardSequence, letter: int) -> Cell:
 def highest_occurrence(seq: StandardSequence, letter: int) -> Cell:
     """The sequence's letter cell with the largest row."""
     return max(seq.entry(letter).cells, key=lambda c: (c.row, c.col))
-
-
-def _tableau_sort_key(tab: KTableau) -> tuple:
-    # Tableaux of one shape have equal row lengths, so comparing the rows
-    # orders them exactly as their bottom-to-top reading words.
-    return (partition_sort_key(tab.shape), tab.rows)
 
 
 def _weak_strips(shape: Partition, n: int, size: int) -> list[Partition]:
@@ -424,7 +427,7 @@ def _extend_rows(
     rows: tuple[tuple[int, ...], ...], shape: Partition, letter: int
 ) -> tuple[tuple[int, ...], ...]:
     padded = rows + ((),) * (len(shape) - len(rows))
-    return tuple(row + (letter,) * (part - len(row)) for row, part in zip(padded, shape))
+    return tuple([row + (letter,) * (part - len(row)) for row, part in zip(padded, shape)])
 
 
 def _enumerate_fast(
@@ -478,7 +481,9 @@ def enumerate_k_tableaux(
     and strings raise ValueError), checked before anything is grown.
     Output is in canonical order: by shape (size, then
     reverse-lexicographic), then by bottom-to-top left-to-right reading
-    word.
+    word.  The found tableaux are grouped by shape; the distinct shapes
+    are sorted by `partition_sort_key`, so each shape's key is computed
+    once, and then each shape's tableaux by their rows.
 
     Strategies: "fast" grows the tableau letter by letter, adding every
     weak strip of the letter's size that the k-bounded Pieri rule allows,
@@ -500,7 +505,16 @@ def enumerate_k_tableaux(
         found = _enumerate_oracle(k, weight, shape)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return sorted(found, key=_tableau_sort_key)
+    # Tableaux of one shape have equal row lengths, so comparing the rows
+    # orders them exactly as their bottom-to-top reading words.
+    by_shape: dict[Partition, list[KTableau]] = {}
+    for tab in found:
+        by_shape.setdefault(tab.shape, []).append(tab)
+    return [
+        tab
+        for shape in sorted(by_shape, key=partition_sort_key)
+        for tab in sorted(by_shape[shape], key=attrgetter("rows"))
+    ]
 
 
 def to_text(tab: KTableau) -> str:

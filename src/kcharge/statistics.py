@@ -113,7 +113,14 @@ class ResidueOrder:
         return self.rank(a) < self.rank(b)
 
     def descending(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.modulus), key=self.rank))
+        """The residues by rank, highest first: a rotation of 0..modulus-1
+        that starts at the pivot, going up in the low order
+        (pivot, pivot+1, ...) and down in the high order (pivot, pivot-1,
+        ...), mod the modulus."""
+        m, p = self.modulus, self.pivot
+        if self.direction == "low":
+            return (*range(p, m), *range(p))
+        return (*range(p, -1, -1), *range(m - 1, p, -1))
 
     def __str__(self) -> str:
         return " > ".join(str(r) for r in self.descending())

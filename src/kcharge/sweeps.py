@@ -167,21 +167,28 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         if _hook_facts(counts, n)[0] is not None:
             not_cores.append(f"restriction to {i} has shape {Partition(counts)}")
         if standard:
-            letter_diags = {col - row for row, col in cells}
-            (down_row, down_col), (up_row, up_col) = cells[0], cells[-1]
+            up_row, up_col = cells[-1]
             res = (up_col - up_row) % n
-            met = meeting.setdefault(res, set())
-            met |= letter_diags
-            # The diagonals of residue res strictly between the extremes'.
-            lo, hi = sorted((up_col - up_row, down_col - down_row))
-            between = range(lo + n, hi, n)
-            if not letter_diags.issuperset(between):
-                rule_failures.append(
-                    (
-                        "diagonal filling between extremes",
-                        f"letter {i} misses a residue-{res} diagonal in {list(between)}",
+            met = meeting.get(res)
+            if met is None:
+                met = meeting[res] = set()
+            if len(cells) == 1:
+                # One cell is both extremes, with no diagonal between them.
+                met.add(up_col - up_row)
+            else:
+                letter_diags = {col - row for row, col in cells}
+                met |= letter_diags
+                down_row, down_col = cells[0]
+                # The diagonals of residue res strictly between the extremes'.
+                lo, hi = sorted((up_col - up_row, down_col - down_row))
+                between = range(lo + n, hi, n)
+                if not letter_diags.issuperset(between):
+                    rule_failures.append(
+                        (
+                            "diagonal filling between extremes",
+                            f"letter {i} misses a residue-{res} diagonal in {list(between)}",
+                        )
                     )
-                )
             count = len(cells) + d_high[i - 1] + d_low[i - 1]
             if count != len(met):
                 rule_failures.append(
@@ -225,7 +232,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     letter1 = by_letter.get(1, ())
     # The letter index lists cells bottom row first, left to right.
     checked += 1
-    if letter1 != tuple((1, j) for j in range(1, alpha1 + 1)):
+    if letter1 != tuple(zip((1,) * alpha1, range(1, alpha1 + 1))):
         fail("letter 1 fills the bottom row start", f"letter-1 cells {sorted(letter1)}")
 
     if standard:
@@ -292,7 +299,9 @@ def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> Swe
         import multiprocessing  # only a parallel sweep pays for the import
 
         with multiprocessing.Pool(workers) as pool:
-            partials = pool.map(_statistics_task, tasks)
+            # One task per chunk: the default chunks put the largest tasks
+            # together in the last one, which one worker then runs alone.
+            partials = pool.map(_statistics_task, tasks, chunksize=1)
     else:
         partials = map(_statistics_task, tasks)
     for partial in partials:

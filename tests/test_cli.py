@@ -144,6 +144,32 @@ def test_stat_weight_one():
     assert "k-charge: lp=0 morse=0" in result.stdout
 
 
+def test_stat_order_columns_fit_two_digit_residues(tmp_path, capsys):
+    # At k=10 an order holding residue 10 is 42 characters, one more than
+    # 4k+1; both order columns are as wide as the longest order shown.
+    path = tmp_path / "tab.txt"
+    path.write_text("k=10\n1_0 2_1\n")
+    assert cli.main(["stat", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == (
+        f"    i res |  dL   L {'low order':>42}   M  dM |  dI   I {'high order':>42}   J  dJ"
+    )
+    assert lines[4] == (
+        "    2   1 |   0   0 2 > 3 > 4 > 5 > 6 > 7 > 8 > 9 > 10 > 0 > 1   0   0 |"
+        "   0   1 10 > 9 > 8 > 7 > 6 > 5 > 4 > 3 > 2 > 1 > 0   1   0"
+    )
+
+
+def test_stat_text_of_one_cell_does_not_grow_with_k(tmp_path, capsys):
+    # No order is shown, so the order columns are as wide as their header.
+    path = tmp_path / "tab.txt"
+    path.write_text("k=400000\n1_0\n")
+    assert cli.main(["stat", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "k-charge: lp=0 morse=0" in out
+    assert len(out.encode()) < 1024
+
+
 def test_stat_accepts_json_input():
     blob = json.dumps({"k": 4, "shape": [6, 2, 2, 1], "rows": [[1, 2, 3, 5, 7, 9], [4, 6], [5, 7], [8]]})
     result = run_cli("stat", "-", stdin=blob)
@@ -310,6 +336,7 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch, capsys):
     import multiprocessing
 
     started = []
+    chunksizes = []
 
     class RecordingPool:
         def __init__(self, processes):
@@ -321,17 +348,21 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=None):
+            chunksizes.append(chunksize)
             return list(map(fn, tasks))
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setenv("KCHARGE_THREADS", "1000")
     for cpus, expected in ((2, [2]), (1, []), (None, [])):
         started.clear()
+        chunksizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert cli.main(["verify", "--max-k", "2", "--max-weight", "4"]) == 0
         assert "result: PASS" in capsys.readouterr().out
         assert started == expected
+        # A pool is handed one (k, weight) task at a time.
+        assert chunksizes == [1] * len(expected)
 
 
 def test_output_flag_writes_file(tmp_path):

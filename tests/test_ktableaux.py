@@ -261,9 +261,17 @@ def test_enumerated_tableaux_equal_the_checked_construction():
 
 
 def test_enumeration_is_canonically_ordered():
-    tabs = enumerate_k_tableaux(3, (1, 1, 1, 1))
-    keys = [(partition_sort_key(t.shape), t.reading_word()) for t in tabs]
-    assert keys == sorted(keys)
+    # Both strategies share the final sort, so the fast-vs-oracle checks
+    # cannot see an ordering fault; here the order is compared with the
+    # literal key on every (k, weight) of the 5/8 sweep.
+    tableaux = 0
+    for k, mu in weights_up_to(5, 8):
+        tabs = enumerate_k_tableaux(k, mu)
+        keys = [(partition_sort_key(t.shape), t.reading_word()) for t in tabs]
+        assert keys == sorted(keys), (k, mu)
+        assert len(set(keys)) == len(keys), (k, mu)
+        tableaux += len(tabs)
+    assert tableaux == 2873
 
 
 def in_distinct_columns(shape, grown):

@@ -127,6 +127,15 @@ def test_low_order_walks_upward():
     assert order.descending() == (2, 1, 0, 4, 3)
 
 
+def test_descending_is_the_order_by_rank():
+    # The rotation against its definition, the residues sorted by rank.
+    for modulus in range(2, 13):
+        for pivot in range(modulus):
+            for direction in ("low", "high"):
+                order = ResidueOrder(modulus, pivot, direction)
+                assert order.descending() == tuple(sorted(range(modulus), key=order.rank))
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -573,6 +582,19 @@ def test_passing_identities_render_no_text(monkeypatch):
                 ),
                 ("standard duality with explicit constant", "3 != 3*2/2 - 2 - 1"),
                 ("diagonal count through the restriction", "letter 2: 2 != 1"),
+            ],
+        ),
+        (
+            # Letter 3 sits on diagonals 2 and -2 of residue 0 but not on 0.
+            1,
+            [[1, 2, 3], [2], [3]],
+            [
+                ("restriction is a core", "restriction to 3 has shape (3,1,1)"),
+                (
+                    "diagonal filling between extremes",
+                    "letter 3 misses a residue-0 diagonal in [0]",
+                ),
+                ("diagonal count through the restriction", "letter 3: 2 != 3"),
             ],
         ),
     ],
