@@ -18,6 +18,7 @@ from .ktableaux import (
 )
 from .statistics import (
     FORMULATIONS,
+    ResidueOrder,
     charge_table,
     kostka_foulkes_table,
     sequence_reports,
@@ -141,6 +142,16 @@ def _stat_payload(tab) -> dict:
     reports = sequence_reports(tab)
     mu = Partition(tab.weight)
     interior = tab.shape.size() - _hook_facts(tab.shape, tab.k + 1)[1]
+    # Each order shown is rendered once per payload, from its pivot.
+    rendered = {"low": {None: None}, "high": {None: None}}
+
+    def orders(pivots, direction):
+        strings = rendered[direction]
+        for pivot in pivots:
+            if pivot not in strings:
+                strings[pivot] = str(ResidueOrder(tab.k + 1, pivot, direction))
+        return [strings[pivot] for pivot in pivots]
+
     return {
         "k": tab.k,
         "shape": list(tab.shape),
@@ -156,11 +167,11 @@ def _stat_payload(tab) -> dict:
             "morse": sum(r.cocharge_morse() for r in reports),
         },
         "sequences": [
-            # The record's fields in order, each order as its string.
+            # The record's columns in order, the pivots as order strings.
             {
-                **r._asdict(),
-                "low_orders": [str(o) if o else None for o in r.low_orders],
-                "high_orders": [str(o) if o else None for o in r.high_orders],
+                **dict(zip(r._fields[:-2], r)),
+                "low_orders": orders(r.low_pivots, "low"),
+                "high_orders": orders(r.high_pivots, "high"),
             }
             for r in reports
         ],

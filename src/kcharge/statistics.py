@@ -9,7 +9,7 @@ Two equivalent formulations are implemented for each statistic:
 
 Both are read off one step rule per standard sequence (`_steps`), whose
 steps are read as columns, one per vector: by `_walk` as the record that
-`stat` displays, and by the identity checker in `sweeps`.
+`stat` renders, and by the identity checker in `sweeps`.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .cores import (
@@ -137,7 +136,12 @@ def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
 
 
 class SequenceReport(NamedTuple):
-    """Everything the per-sequence statistics tables display."""
+    """The step columns of one standard sequence, one entry per letter.
+
+    low_pivots and high_pivots hold the residue mod k+1 at which each
+    letter's low and high `ResidueOrder` is pivoted (None for letter 1,
+    which has no order); `stat` renders the orders from them.
+    """
 
     letters: tuple[int, ...]
     residues: tuple[int, ...]
@@ -149,8 +153,8 @@ class SequenceReport(NamedTuple):
     diag_prev_high: tuple[int, ...]
     diag_add_low: tuple[int, ...]
     diag_add_high: tuple[int, ...]
-    low_orders: tuple[ResidueOrder | None, ...]
-    high_orders: tuple[ResidueOrder | None, ...]
+    low_pivots: tuple[int | None, ...]
+    high_pivots: tuple[int | None, ...]
 
     def cocharge_lp(self) -> int:
         return sum(self.L)
@@ -163,12 +167,6 @@ class SequenceReport(NamedTuple):
 
     def charge_morse(self) -> int:
         return sum(self.J) + sum(self.diag_add_high)
-
-
-# ResidueOrder(modulus, pivot, direction), each built on the first record
-# that shows it and shared by the later ones; bounded, as a large k has
-# 2(k+1) orders and a record shows at most two per letter.
-_residue_order = lru_cache(maxsize=1024)(ResidueOrder)
 
 
 def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
@@ -256,33 +254,16 @@ def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
 
 def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """Every per-letter vector of one standard sequence: the steps of
-    `_steps` read as columns, with each pivot's `ResidueOrder` for display."""
-    n = k + 1
-    steps = list(_steps(seq, n))
-    (L, M, I, J, prev_low, prev_high, add_low, add_high, low_pivots, high_pivots) = (
-        zip(*steps) if steps else ((),) * 10
-    )
-    return SequenceReport(
-        letters=tuple(e.letter for e in seq.entries),
-        residues=seq.residues(),
-        L=L,
-        M=M,
-        I=I,
-        J=J,
-        diag_prev_low=prev_low,
-        diag_prev_high=prev_high,
-        diag_add_low=add_low,
-        diag_add_high=add_high,
-        low_orders=tuple(None if p is None else _residue_order(n, p, "low") for p in low_pivots),
-        high_orders=tuple(
-            None if p is None else _residue_order(n, p, "high") for p in high_pivots
-        ),
-    )
+    `_steps` read as columns, pivots included; `stat` renders the orders.
+    A sequence with no entries has ten empty columns."""
+    columns = tuple(zip(*_steps(seq, k + 1))) or ((),) * 10
+    letters = tuple(e.letter for e in seq.entries)
+    return SequenceReport(letters, seq.residues(), *columns)
 
 
 def sequence_reports(tab: KTableau) -> list[SequenceReport]:
-    """Per-sequence index vectors, residue orders, and diag corrections:
-    one `_walk` per standard sequence."""
+    """Per-sequence index vectors, residue-order pivots, and diag
+    corrections: one `_walk` per standard sequence."""
     return [_walk(seq, tab.k) for seq in standard_sequences(tab)]
 
 
@@ -413,6 +394,8 @@ class TPolynomial:
     def from_json_dict(cls, data: Mapping[str, int]) -> "TPolynomial":
         """Inverse of `to_json_dict`: exponents are keys written in ASCII
         digits 0-9, coefficients JSON integers."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
         return cls({_parse_digits(e, "exponent"): c for e, c in data.items()})
 
 
@@ -516,8 +499,10 @@ def enumerate_ssyt(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All classical semistandard fillings of shape with the exact letter
     multiplicities given by weight (rows bottom-first).  Weight parts must
-    be integers."""
+    be non-negative integers."""
     weight = tuple(_strict_int(a, "weight part") for a in weight)
+    if min(weight, default=0) < 0:
+        raise ValueError(f"weight parts must be non-negative, got {weight}")
     if sum(weight) != shape.size():
         return []
     return list(semistandard_fillings(shape, len(weight), weight))
@@ -526,8 +511,10 @@ def enumerate_ssyt(
 def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     """Charge generating polynomials over classical semistandard tableaux,
     keyed by shape; shapes with no tableaux are omitted.  Weight parts
-    must be integers."""
+    must be non-negative integers."""
     weight = tuple(_strict_int(a, "weight part") for a in weight)
+    if min(weight, default=0) < 0:
+        raise ValueError(f"weight parts must be non-negative, got {weight}")
     return _shape_table(
         (shape, classical_charge(rows))
         for shape in partitions(sum(weight))

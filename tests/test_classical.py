@@ -133,6 +133,9 @@ def test_enumerate_ssyt_counts():
     assert len(enumerate_ssyt(Partition([2, 1, 1]), (1, 1, 1, 1))) == 3
     assert enumerate_ssyt(Partition([2, 1]), (1, 1)) == []
     assert enumerate_ssyt(Partition([1, 1]), (2,)) == []
+    # A zero part is a letter that does not occur.
+    assert enumerate_ssyt(Partition((2, 1)), (2, 0, 1)) == [((1, 1), (3,))]
+    assert enumerate_ssyt(Partition((1,)), (0, 1)) == [((2,),)]
 
 
 def test_enumerate_ssyt_rejects_non_integer_weight():
@@ -143,6 +146,27 @@ def test_enumerate_ssyt_rejects_non_integer_weight():
 def test_kostka_foulkes_table_rejects_non_integer_weight():
     with pytest.raises(ValueError, match="weight part must be an integer"):
         kostka_foulkes_table((2.2, 1))
+
+
+@pytest.mark.parametrize(
+    "fill,weight",
+    [
+        (lambda w: enumerate_ssyt(Partition((1,)), w), (2, -1)),
+        (lambda w: enumerate_ssyt(Partition((2, 1)), w), (-1, 2, 2)),
+        (kostka_foulkes_table, (3, -1, 1)),
+        (kostka_foulkes_table, (-1,)),
+    ],
+    ids=["ssyt-sum-matches", "ssyt-first-part", "kostka-middle-part", "kostka-only-part"],
+)
+def test_negative_weight_part_raises_before_any_filling(monkeypatch, fill, weight):
+    # A negative part once let the filler return fillings of another
+    # content, or reach a misleading "not a partition" error.
+    fillings = []
+    monkeypatch.setattr(statistics, "semistandard_fillings", lambda *a: fillings.append(a))
+    with pytest.raises(ValueError) as exc:
+        fill(weight)
+    assert str(exc.value) == f"weight parts must be non-negative, got {weight}"
+    assert fillings == []
 
 
 def test_enumerate_ssyt_fillings_are_semistandard():

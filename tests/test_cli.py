@@ -408,6 +408,157 @@ k-cocharge: lp=2 morse=2
 k-charge: lp=2 morse=2
 n(weight) - interior = 6 - 2 = 4
 """
+README_STAT_JSON = """\
+{
+  "k": 3,
+  "shape": [
+    5,
+    2,
+    1
+  ],
+  "weight": [
+    2,
+    2,
+    2
+  ],
+  "n_weight": 6,
+  "interior": 2,
+  "k_charge": {
+    "lp": 2,
+    "morse": 2
+  },
+  "k_cocharge": {
+    "lp": 2,
+    "morse": 2
+  },
+  "sequences": [
+    {
+      "letters": [
+        1,
+        2,
+        3
+      ],
+      "residues": [
+        1,
+        3,
+        2
+      ],
+      "L": [
+        0,
+        0,
+        2
+      ],
+      "M": [
+        0,
+        0,
+        1
+      ],
+      "I": [
+        0,
+        0,
+        0
+      ],
+      "J": [
+        0,
+        0,
+        0
+      ],
+      "diag_prev_low": [
+        0,
+        0,
+        1
+      ],
+      "diag_prev_high": [
+        0,
+        0,
+        0
+      ],
+      "diag_add_low": [
+        0,
+        0,
+        1
+      ],
+      "diag_add_high": [
+        0,
+        0,
+        0
+      ],
+      "low_orders": [
+        null,
+        "0 > 1 > 2 > 3",
+        "0 > 1 > 2 > 3"
+      ],
+      "high_orders": [
+        null,
+        "2 > 1 > 0 > 3",
+        "1 > 0 > 3 > 2"
+      ]
+    },
+    {
+      "letters": [
+        1,
+        2,
+        3
+      ],
+      "residues": [
+        0,
+        2,
+        0
+      ],
+      "L": [
+        0,
+        0,
+        0
+      ],
+      "M": [
+        0,
+        0,
+        0
+      ],
+      "I": [
+        0,
+        1,
+        1
+      ],
+      "J": [
+        0,
+        1,
+        1
+      ],
+      "diag_prev_low": [
+        0,
+        0,
+        0
+      ],
+      "diag_prev_high": [
+        0,
+        0,
+        0
+      ],
+      "diag_add_low": [
+        0,
+        0,
+        0
+      ],
+      "diag_add_high": [
+        0,
+        0,
+        0
+      ],
+      "low_orders": [
+        null,
+        "3 > 0 > 1 > 2",
+        "1 > 2 > 3 > 0"
+      ],
+      "high_orders": [
+        null,
+        "3 > 2 > 1 > 0",
+        "2 > 1 > 0 > 3"
+      ]
+    }
+  ]
+}
+"""
 TABLE_K4_211_JSON = """\
 {
   "weight": [
@@ -440,6 +591,7 @@ TABLE_K4_211_JSON = """\
     "argv,stdin,expected",
     [
         (["stat", "-"], README_STAT, README_STAT_TEXT),
+        (["stat", "-", "--format", "json"], README_STAT, README_STAT_JSON),
         (["table", "--k", "4", "--weight", "2,1,1", "--format", "json"], "", TABLE_K4_211_JSON),
         (
             ["table", "--classical", "--weight", "2,1,1"],
@@ -452,7 +604,7 @@ TABLE_K4_211_JSON = """\
             "(5,2,1): 1\n(6,3): t\n",
         ),
     ],
-    ids=["stat-readme", "table-json", "table-classical", "table-lp"],
+    ids=["stat-readme", "stat-readme-json", "table-json", "table-classical", "table-lp"],
 )
 def test_golden_stdout(monkeypatch, capsys, argv, stdin, expected):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

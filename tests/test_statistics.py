@@ -187,6 +187,11 @@ def test_single_letter_vectors():
     seq = standard_sequences(tab)[0]
     for fn in (index_L, index_M, index_I, index_J):
         assert fn(seq, 4) == [0]
+    # No letter, no step: every column is empty.
+    empty = ktableaux.StandardSequence(())
+    assert statistics._walk(empty, 4) == SequenceReport(*((),) * 12)
+    for fn in (index_L, index_M, index_I, index_J):
+        assert fn(empty, 4) == []
 
 
 def test_cocharge_both_formulations(tab_standard_9, tab_semistandard_13):
@@ -264,8 +269,8 @@ def test_sequence_reports(tab_semistandard_13):
     assert reports[1].charge_morse() == 7
     assert reports[0].cocharge_lp() == reports[0].cocharge_morse() == 12
     assert reports[1].cocharge_lp() == reports[1].cocharge_morse() == 4
-    assert str(reports[0].high_orders[1]) == "3 > 2 > 1 > 0 > 4"
-    assert reports[0].low_orders[0] is None
+    assert str(ResidueOrder(5, reports[0].high_pivots[1], "high")) == "3 > 2 > 1 > 0 > 4"
+    assert reports[0].low_pivots[0] is None
 
 
 def test_sequence_report_is_an_immutable_hashable_record():
@@ -283,8 +288,7 @@ def test_sequence_report_is_an_immutable_hashable_record():
         "SequenceReport(letters=(1, 2), residues=(0, 1), L=(0, 0), M=(0, 0), "
         "I=(0, 1), J=(0, 1), diag_prev_low=(0, 0), diag_prev_high=(0, 0), "
         "diag_add_low=(0, 0), diag_add_high=(0, 0), "
-        "low_orders=(None, ResidueOrder(modulus=3, pivot=2, direction='low')), "
-        "high_orders=(None, ResidueOrder(modulus=3, pivot=2, direction='high')))"
+        "low_pivots=(None, 2), high_pivots=(None, 2))"
     )
 
 
@@ -365,6 +369,13 @@ def test_tpolynomial_json_round_trip():
             TPolynomial.from_json_dict({key: 2})
 
 
+@pytest.mark.parametrize("data,kind", [([1], "list"), ("0", "str"), (None, "NoneType")])
+def test_tpolynomial_from_json_dict_rejects_a_non_object(data, kind):
+    with pytest.raises(ValueError) as exc:
+        TPolynomial.from_json_dict(data)
+    assert str(exc.value) == f"expected a JSON object, got {kind}"
+
+
 def test_tpolynomial_rejects_non_integer_terms():
     with pytest.raises(ValueError, match="exponent must be an integer"):
         TPolynomial({"1": 2.9})
@@ -377,14 +388,14 @@ def test_tpolynomial_rejects_non_integer_terms():
 def _literal_report(seq, k):
     """The per-sequence record by the literal definitions: each letter's
     restriction is rebuilt and its addable cells and residue orders are
-    read off the rebuilt cell set."""
+    read off the rebuilt cell set, of which the record keeps the pivots."""
     m = len(seq)
     low_at = [lowest_occurrence(seq, i) for i in range(1, m + 1)]
     high_at = [highest_occurrence(seq, i) for i in range(1, m + 1)]
     restricted = [restrict_sequence(seq, i) for i in range(1, m + 1)]
     L, I, M, J = [0], [0], [0], [0]
     d_prev_low, d_prev_high = [0], [0]
-    low_orders, high_orders = [None], [None]
+    low_pivots, high_pivots = [None], [None]
     for i in range(1, m):
         cur, prev = low_at[i], low_at[i - 1]
         d = diag(cur, prev, k)
@@ -395,10 +406,11 @@ def _literal_report(seq, k):
         d_prev_high.append(d)
         I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
         res, prev_res = seq.entries[i].residue, seq.entries[i - 1].residue
-        low_orders.append(low_order(restricted[i], k))
-        M.append(M[-1] + low_orders[-1].greater(res, prev_res))
-        high_orders.append(high_order(restricted[i], k))
-        J.append(J[-1] + high_orders[-1].greater(res, prev_res))
+        low, high = low_order(restricted[i], k), high_order(restricted[i], k)
+        M.append(M[-1] + low.greater(res, prev_res))
+        J.append(J[-1] + high.greater(res, prev_res))
+        low_pivots.append(low.pivot)
+        high_pivots.append(high.pivot)
     return SequenceReport(
         letters=tuple(e.letter for e in seq.entries),
         residues=tuple(e.residue for e in seq.entries),
@@ -414,8 +426,8 @@ def _literal_report(seq, k):
         diag_add_high=tuple(
             diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)
         ),
-        low_orders=tuple(low_orders),
-        high_orders=tuple(high_orders),
+        low_pivots=tuple(low_pivots),
+        high_pivots=tuple(high_pivots),
     )
 
 
@@ -432,10 +444,8 @@ def test_sequence_reports_equal_literal_definitions():
     assert checked > 600
 
 
-def test_second_walk_builds_no_residue_order(monkeypatch, tab_semistandard_13):
-    # The orders of a modulus are built once and shared by every walk.
-    seq = max(standard_sequences(tab_semistandard_13), key=len)
-    first = statistics._walk(seq, tab_semistandard_13.k)
+def test_no_walk_builds_a_residue_order(monkeypatch, tab_semistandard_13):
+    # The record keeps each letter's pivots; only `stat` renders orders.
     built = []
     original = ResidueOrder.__init__
 
@@ -444,9 +454,13 @@ def test_second_walk_builds_no_residue_order(monkeypatch, tab_semistandard_13):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(ResidueOrder, "__init__", counting)
+    seq = max(standard_sequences(tab_semistandard_13), key=len)
+    first = statistics._walk(seq, tab_semistandard_13.k)
     assert statistics._walk(seq, tab_semistandard_13.k) == first
+    assert sequence_reports(tab_semistandard_13)
     assert built == []
-    assert len(first.low_orders) == len(seq) > 2
+    assert len(first.low_pivots) == len(seq) > 2
+    assert None not in first.low_pivots[1:] + first.high_pivots[1:]
 
 
 def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, capsys):
@@ -458,7 +472,6 @@ def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, cap
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(ResidueOrder, "__init__", counting)
-    statistics._residue_order.cache_clear()
     # One letter shows no order, whatever the modulus.
     path = tmp_path / "one_cell.txt"
     path.write_text("k=400000\n1_0\n")
@@ -471,6 +484,26 @@ def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out
     assert "2 > 0 > 1" in out and "2 > 1 > 0" in out
     assert built == [(3, 2, "low"), (3, 2, "high")]
+    # Orders repeat within and across sequences; each distinct one shown
+    # is built once per payload.
+    tab = ktableaux.parse_text("k=3\n3_2\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n")
+    del built[:]
+    payload = cli._stat_payload(tab)
+    made = list(built)
+    shown = {
+        (direction, order)
+        for seq in payload["sequences"]
+        for direction in ("low", "high")
+        for order in seq[f"{direction}_orders"]
+        if order
+    }
+    # Every letter but 1 shows two orders: 8 here, 6 of them distinct.
+    assert len(shown) == 6
+    assert len(made) == len(set(made)) == len(shown)
+    assert {(d, str(ResidueOrder(m, p, d))) for m, p, d in made} == shown
+    del built[:]
+    assert cli._stat_payload(tab) == payload
+    assert built == made
 
 
 @pytest.mark.parametrize("formulation", ["lp", "morse"])
@@ -943,8 +976,6 @@ def test_passing_checker_builds_no_record_and_no_residue_order(
 
     monkeypatch.setattr(statistics, "SequenceReport", counting_record)
     monkeypatch.setattr(ResidueOrder, "__init__", counting_order)
-    # From a cold order cache, so that building the orders would show.
-    statistics._residue_order.cache_clear()
     for tab in (tab_semistandard_13, tab_standard_9, tab_weight_222):
         checked, failures = sweeps.check_tableau_identities(tab)
         assert checked and not failures
