@@ -25,6 +25,7 @@ from .cores import (
     Cell,
     Partition,
     _parse_digits,
+    _partition_fault,
     _strict_int,
     partition_sort_key,
     partitions,
@@ -409,12 +410,27 @@ def _shape_table(charges: Iterable[tuple[Partition, int]]) -> dict[Partition, TP
     return {shape: TPolynomial(counts[shape]) for shape in sorted(counts, key=partition_sort_key)}
 
 
+def _check_table_weight(weight: tuple[int, ...]) -> None:
+    """Raise unless the weight is a partition with positive parts, naming
+    the weight as given; both tables check it before they build anything."""
+    fault = _partition_fault(weight)
+    if fault == "must be positive":
+        raise ValueError(f"weight parts must be positive, got {weight}")
+    if fault:
+        raise ValueError(f"weight {weight} is not a partition")
+
+
 def charge_table(
     k: int, weight: Sequence[int], formulation: str = "morse"
 ) -> dict[Partition, TPolynomial]:
     """Shape-grouped generating polynomials sum_T t^(k-charge) over all
-    k-tableaux of the given weight."""
+    k-tableaux of the given weight, which must be a partition with
+    positive integer parts."""
     _check_formulation(formulation)
+    # Exact ints skip `_strict_int`, as in `Partition`; the enumerator
+    # checks each part again.
+    weight = tuple(a if type(a) is int else _strict_int(a, "weight part") for a in weight)
+    _check_table_weight(weight)
     return _shape_table(
         (tab.shape, k_charge(tab, formulation)) for tab in enumerate_k_tableaux(k, weight)
     )
@@ -510,11 +526,13 @@ def enumerate_ssyt(
 
 def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     """Charge generating polynomials over classical semistandard tableaux,
-    keyed by shape; shapes with no tableaux are omitted.  Weight parts
-    must be non-negative integers."""
+    keyed by shape; shapes with no tableaux are omitted.  The weight must
+    be a partition with positive integer parts, checked before any filling
+    is built."""
     weight = tuple(_strict_int(a, "weight part") for a in weight)
     if min(weight, default=0) < 0:
         raise ValueError(f"weight parts must be non-negative, got {weight}")
+    _check_table_weight(weight)
     return _shape_table(
         (shape, classical_charge(rows))
         for shape in partitions(sum(weight))

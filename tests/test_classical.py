@@ -169,6 +169,31 @@ def test_negative_weight_part_raises_before_any_filling(monkeypatch, fill, weigh
     assert fillings == []
 
 
+@pytest.mark.parametrize(
+    "weight,message",
+    [
+        ((2, 1, 0), "weight parts must be positive, got (2, 1, 0)"),
+        ((0, 1), "weight (0, 1) is not a partition"),
+        ((2, 0, 1), "weight (2, 0, 1) is not a partition"),
+        ((0,) + (1,) * 40, f"weight {(0,) + (1,) * 40} is not a partition"),
+    ],
+    ids=["trailing-zero", "leading-zero", "middle-zero", "large-leading-zero"],
+)
+def test_tables_reject_a_zero_weight_part_up_front(monkeypatch, weight, message):
+    # A trailing zero once gave the table of the weight without it, and a
+    # zero before a positive part was named only after every filling.
+    built = []
+    monkeypatch.setattr(statistics, "semistandard_fillings", lambda *a: built.append(a))
+    monkeypatch.setattr(statistics, "enumerate_k_tableaux", lambda *a: built.append(a))
+    with pytest.raises(ValueError) as exc:
+        kostka_foulkes_table(weight)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        charge_table(3, weight)
+    assert str(exc.value) == message
+    assert built == []
+
+
 def test_enumerate_ssyt_fillings_are_semistandard():
     for rows in enumerate_ssyt(Partition([3, 2]), (2, 2, 1)):
         for row in rows:

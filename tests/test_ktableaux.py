@@ -363,6 +363,21 @@ def test_weak_strips_are_horizontal_strips_large_k():
     assert (cores, strips) == (531, 12812)
 
 
+def test_weak_strips_are_cached_per_core():
+    core = Partition((3, 1))  # a 3-core
+    strips = _weak_strips(core, 3, 2)
+    assert isinstance(strips, tuple) and strips
+    assert _weak_strips(core, 3, 2) is strips
+    assert _weak_strips.cache_info().maxsize == 4096
+    # The chains of a sweep pass through few cores: 139 distinct keys among
+    # the 1,146 calls of a cold 5/7 enumeration.
+    _weak_strips.cache_clear()
+    for k, mu in weights_up_to(5, 7):
+        enumerate_k_tableaux(k, mu)
+    info = _weak_strips.cache_info()
+    assert (info.misses, info.hits) == (139, 1007)
+
+
 def test_enumeration_leaves_no_cyclic_garbage():
     gc.collect()
     assert enumerate_k_tableaux(4, (4,) + (1,) * 10)
@@ -507,6 +522,20 @@ def test_ktableau_rejects_non_integer_k_and_letters():
     for k, rows in ((3.0, [[1]]), (True, [[1]]), ("3", [[1]]), (3, [[1.0]]), (3, [[False]])):
         with pytest.raises(ValueError, match="must be an integer"):
             KTableau(k, rows)
+
+
+def test_weight_is_recorded_by_the_index_pass(tab_semistandard_13):
+    tab = KTableau(tab_semistandard_13.k, tab_semistandard_13.rows)
+    tab.cells_of(1)
+    classes = tab._residue_index()
+    assert tab._weight == tuple(len(classes[x]) for x in range(1, 8))
+    assert tab.weight is tab.weight is tab._weight
+    # With a letter missing nothing is recorded; `weight` spells out the zeros.
+    gap = KTableau(2, [[1, 3]])
+    gap.cells_of(1)
+    assert gap._weight is None and gap.weight == (1, 0, 1)
+    empty = KTableau(2, [])
+    assert empty.weight == () and standard_sequences(empty) == []
 
 
 def test_letter_index_is_lazy_and_outside_equality(tab_semistandard_13):
