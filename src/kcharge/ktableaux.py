@@ -34,6 +34,28 @@ logger = logging.getLogger(__name__)
 # The one letter type that needs no per-letter conversion.
 _INT_TYPE = frozenset({int})
 
+# The longest row whose cells are shared through `_cell_row`; a longer row
+# is made for its tableau alone, so that one huge tableau does not stay in
+# the cache.  The rows of the 7/10 sweep have at most 10 cells.
+_SHARED_ROW_CELLS = 64
+
+
+@lru_cache(maxsize=4096)
+def _cell_row(i: int, length: int) -> tuple[tuple[Cell, frozenset[Cell]], ...]:
+    """(Cell(i, j), frozenset({Cell(i, j)})) for j = 1..length, shared by
+    every tableau with a row i of that length.
+
+    Each `Cell` is made as a plain tuple, without the Python-level
+    `__new__` of a NamedTuple.  The rows of a sweep's tableaux repeat: a
+    cold `verify --max-k 5 --max-weight 7` reads 28 distinct keys and 6/9
+    reads 45, so the cache of the 4,096 most recent keys makes each row's
+    cells about once per process.  It holds no letters, so the index that
+    reads it stays independent of how the tableau was built.  Rows longer
+    than `_SHARED_ROW_CELLS` go to the uncached `_cell_row.__wrapped__`."""
+    make = tuple.__new__
+    cells = [make(Cell, (i, j)) for j in range(1, length + 1)]
+    return tuple([(cell, frozenset((cell,))) for cell in cells])
+
 
 class KTableau:
     """A letter-filled (k+1)-core shape, rows bottom-first.
@@ -55,8 +77,11 @@ class KTableau:
     (`cells_of`), and for each letter present the map residue -> that
     letter's cells of the residue (read by `residues_of`, `validate` and
     `standard_sequences`).  Both have one key per letter present, so a
-    huge letter costs no more than a small one.  The same pass records
-    the weight, each letter's class count, which `weight`,
+    huge letter costs no more than a small one.  The index entries are
+    the `Cell`s and one-cell classes of `_cell_row`, shared by every
+    tableau with a row of the same position and length, so the pass makes
+    no `Cell` and no frozenset per cell.  The same pass records the weight,
+    each letter's class count, which `weight`, `validate`,
     `standard_sequences` and the sweep checks read without counting again.
     """
 
@@ -116,37 +141,50 @@ class KTableau:
         """Both indexes and the weight, from one pass over the cells in
         reading order.
 
-        Each `Cell` is made as a plain tuple, without the Python-level
-        `__new__` of a NamedTuple.  Each residue class is gathered as a
-        list and then turned into a frozenset in place, in its letter's
-        dict, so no dict is rebuilt.  The weight is recorded only when the
-        letters are 1..r with none missing; otherwise `_weight` is None and
-        `weight` spells out the zeros on request, so a huge letter costs
-        nothing here."""
+        Each row's cells and their one-cell classes come from the shared
+        `_cell_row`, so no `Cell` and no frozenset is made per cell, and
+        the residue steps along the row.  A letter's first cell of a
+        residue takes that cell's shared one-cell frozenset; only a second
+        cell turns the class into a list, and each such list is frozen
+        once at the end.  The weight is recorded only when the letters are
+        1..r with none missing; otherwise `_weight` is None and `weight`
+        spells out the zeros on request, so a huge letter costs nothing
+        here."""
         n = self.k + 1
-        make = tuple.__new__
         by_letter: dict[int, list[Cell]] = {}
         by_residue: dict[int, dict[int, list[Cell] | frozenset[Cell]]] = {}
+        # (classes, residue) of each class with more than one cell.
+        grown: list[tuple[dict[int, list[Cell] | frozenset[Cell]], int]] = []
         for i, row in enumerate(self.rows, start=1):
-            for j, x in enumerate(row, start=1):
-                cell = make(Cell, (i, j))
-                res = (j - i) % n
+            res = (1 - i) % n
+            length = len(row)
+            shared = (
+                _cell_row(i, length)
+                if length <= _SHARED_ROW_CELLS
+                else _cell_row.__wrapped__(i, length)
+            )
+            for x, (cell, one) in zip(row, shared):
                 cells = by_letter.get(x)
                 if cells is None:
                     by_letter[x] = [cell]
-                    by_residue[x] = {res: [cell]}
-                    continue
-                cells.append(cell)
-                classes = by_residue[x]
-                same = classes.get(res)
-                if same is None:
-                    classes[res] = [cell]
+                    by_residue[x] = {res: one}
                 else:
-                    same.append(cell)
+                    cells.append(cell)
+                    classes = by_residue[x]
+                    same = classes.get(res)
+                    if same is None:
+                        classes[res] = one
+                    elif type(same) is list:
+                        same.append(cell)
+                    else:
+                        classes[res] = [*same, cell]
+                        grown.append((classes, res))
+                res += 1
+                if res == n:
+                    res = 0
+        for classes, res in grown:
+            classes[res] = frozenset(classes[res])
         self._by_letter = {x: tuple(cells) for x, cells in by_letter.items()}
-        for classes in by_residue.values():
-            for res, cells in classes.items():
-                classes[res] = frozenset(cells)
         self._by_residue = by_residue
         r = len(by_residue)
         self._weight = (
@@ -234,6 +272,11 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     where one exists.  If an expected weight is supplied, each letter's
     residue span is checked against it; otherwise the weight is derived
     and only its total is checked against the k-bounded hook count.
+
+    The rows and columns are compared whole, and the weight that the index
+    pass recorded is compared at once with the expected weight, with k and
+    with the hook count.  Only a failure falls back to a scan, cell by cell
+    or letter by letter, which names the first offender.
     """
     n = tab.k + 1
     cell, hooks = _hook_facts(tab.shape, n)
@@ -259,7 +302,16 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
                     return ValidationReport(
                         False, "column fails to increase bottom-to-top", Cell(i + 1, j)
                     )
+    # The recorded weight is None when a letter is missing.
     by_letter = tab._letter_index()
+    have = tab._weight
+    if (
+        have is not None
+        and max(have, default=0) <= tab.k
+        and (weight is None or tuple(weight) == have)
+        and sum(have) == hooks
+    ):
+        return _VALID
     classes = tab._residue_index()
     r = tab.n_letters
     total = 0

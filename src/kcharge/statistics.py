@@ -412,11 +412,12 @@ def _shape_table(charges: Iterable[tuple[Partition, int]]) -> dict[Partition, TP
 
 def _check_table_weight(weight: tuple[int, ...]) -> None:
     """Raise unless the weight is a partition with positive parts, naming
-    the weight as given; both tables check it before they build anything."""
-    fault = _partition_fault(weight)
-    if fault == "must be positive":
+    the weight as given; both tables check it before they build anything.
+    A part below 1 is named first, wherever it stands, in the words of
+    `enumerate_k_tableaux` and the CLI."""
+    if min(weight, default=1) < 1:
         raise ValueError(f"weight parts must be positive, got {weight}")
-    if fault:
+    if _partition_fault(weight):
         raise ValueError(f"weight {weight} is not a partition")
 
 
@@ -530,8 +531,6 @@ def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     be a partition with positive integer parts, checked before any filling
     is built."""
     weight = tuple(_strict_int(a, "weight part") for a in weight)
-    if min(weight, default=0) < 0:
-        raise ValueError(f"weight parts must be non-negative, got {weight}")
     _check_table_weight(weight)
     return _shape_table(
         (shape, classical_charge(rows))

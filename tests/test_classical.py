@@ -149,23 +149,35 @@ def test_kostka_foulkes_table_rejects_non_integer_weight():
 
 
 @pytest.mark.parametrize(
-    "fill,weight",
+    "fill,weight,message",
     [
-        (lambda w: enumerate_ssyt(Partition((1,)), w), (2, -1)),
-        (lambda w: enumerate_ssyt(Partition((2, 1)), w), (-1, 2, 2)),
-        (kostka_foulkes_table, (3, -1, 1)),
-        (kostka_foulkes_table, (-1,)),
+        (lambda w: enumerate_ssyt(Partition((1,)), w), (2, -1), "non-negative"),
+        (lambda w: enumerate_ssyt(Partition((2, 1)), w), (-1, 2, 2), "non-negative"),
+        (kostka_foulkes_table, (3, -1, 1), "positive"),
+        (kostka_foulkes_table, (-1,), "positive"),
+        (lambda w: charge_table(3, w), (3, -1, 1), "positive"),
+        (lambda w: charge_table(3, w), (-1,), "positive"),
     ],
-    ids=["ssyt-sum-matches", "ssyt-first-part", "kostka-middle-part", "kostka-only-part"],
+    ids=[
+        "ssyt-sum-matches",
+        "ssyt-first-part",
+        "kostka-middle-part",
+        "kostka-only-part",
+        "charge-middle-part",
+        "charge-only-part",
+    ],
 )
-def test_negative_weight_part_raises_before_any_filling(monkeypatch, fill, weight):
+def test_negative_weight_part_raises_before_any_filling(monkeypatch, fill, weight, message):
     # A negative part once let the filler return fillings of another
-    # content, or reach a misleading "not a partition" error.
+    # content, or reach a misleading "not a partition" error.  The tables
+    # ask for positive parts, as the enumerator and the CLI do; the
+    # classical filler allows a zero part.
     fillings = []
     monkeypatch.setattr(statistics, "semistandard_fillings", lambda *a: fillings.append(a))
+    monkeypatch.setattr(statistics, "enumerate_k_tableaux", lambda *a: fillings.append(a))
     with pytest.raises(ValueError) as exc:
         fill(weight)
-    assert str(exc.value) == f"weight parts must be non-negative, got {weight}"
+    assert str(exc.value) == f"weight parts must be {message}, got {weight}"
     assert fillings == []
 
 
@@ -173,15 +185,18 @@ def test_negative_weight_part_raises_before_any_filling(monkeypatch, fill, weigh
     "weight,message",
     [
         ((2, 1, 0), "weight parts must be positive, got (2, 1, 0)"),
-        ((0, 1), "weight (0, 1) is not a partition"),
-        ((2, 0, 1), "weight (2, 0, 1) is not a partition"),
-        ((0,) + (1,) * 40, f"weight {(0,) + (1,) * 40} is not a partition"),
+        ((0, 1), "weight parts must be positive, got (0, 1)"),
+        ((2, 0, 1), "weight parts must be positive, got (2, 0, 1)"),
+        ((0,) + (1,) * 40, f"weight parts must be positive, got {(0,) + (1,) * 40}"),
+        ((1, 2), "weight (1, 2) is not a partition"),
     ],
-    ids=["trailing-zero", "leading-zero", "middle-zero", "large-leading-zero"],
+    ids=["trailing-zero", "leading-zero", "middle-zero", "large-leading-zero", "increasing"],
 )
 def test_tables_reject_a_zero_weight_part_up_front(monkeypatch, weight, message):
     # A trailing zero once gave the table of the weight without it, and a
-    # zero before a positive part was named only after every filling.
+    # zero before a positive part was named only after every filling.  Both
+    # tables name a weight the same way: a part below 1 first, wherever it
+    # stands, and only then an order that is not a partition's.
     built = []
     monkeypatch.setattr(statistics, "semistandard_fillings", lambda *a: built.append(a))
     monkeypatch.setattr(statistics, "enumerate_k_tableaux", lambda *a: built.append(a))

@@ -20,6 +20,7 @@ from kcharge.ktableaux import (
     KTableau,
     SequenceEntry,
     ValidationReport,
+    _cell_row,
     _weak_strips,
     enumerate_k_tableaux,
     highest_occurrence,
@@ -518,6 +519,33 @@ def test_parse_json_rejects_non_integer_fields(blob):
         parse_json(blob)
 
 
+def test_index_shares_each_rows_cells():
+    # Tableaux with a row of the same position and length share that row's
+    # `Cell`s and one-cell classes; the shared rows hold no letters.
+    a = KTableau(3, [[1, 1, 2], [2]])
+    b = KTableau(3, [[1, 2, 3], [3]])
+    row1, row2 = _cell_row(1, 3), _cell_row(2, 1)
+    shared = [cell for cell, _ in row1 + row2]
+    for tab in (a, b):
+        cells = sorted(c for x in range(1, tab.n_letters + 1) for c in tab.cells_of(x))
+        assert cells == shared
+        assert all(c is want and type(c) is Cell for c, want in zip(cells, shared))
+    assert a._residue_index()[1][0] is b._residue_index()[1][0] is row1[0][1]
+    assert a._residue_index()[2][3] is b._residue_index()[3][3] is row2[0][1]
+    assert row1[0][1] == frozenset({Cell(1, 1)})
+    # A class of two cells is its own frozenset; the one-cell class of its
+    # first cell is left as it was.
+    two = KTableau(3, [[1, 1, 1, 1, 1]])
+    assert two._residue_index()[1][0] == frozenset({Cell(1, 1), Cell(1, 5)})
+    assert _cell_row(1, 5)[0][1] == frozenset({Cell(1, 1)})
+    assert _cell_row.cache_info().maxsize == 4096
+    # A row longer than the shared rows is made for its tableau alone.
+    cached = _cell_row.cache_info().currsize
+    long_row = KTableau(100, [range(1, 66)])
+    assert long_row.cells_of(65) == (Cell(1, 65),)
+    assert _cell_row.cache_info().currsize == cached
+
+
 def test_ktableau_rejects_non_integer_k_and_letters():
     for k, rows in ((3.0, [[1]]), (True, [[1]]), ("3", [[1]]), (3, [[1.0]]), (3, [[False]])):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -659,8 +687,38 @@ def test_ktableau_converts_integer_like_letters():
     [
         (KTableau(1, [[1, 1], [2]]), None, "letter 1 spans 2 residues > k=1", Cell(1, 1)),
         (KTableau(2, [[1]]), (1, 1), "1 letters, expected 2", None),
+        # Each case below fails the whole-weight comparison, so the letter
+        # scan names the first offender.
+        (KTableau(3, [[1, 1, 3]]), None, "letter 2 is missing", None),
+        (KTableau(3, [[1, 1, 2]]), (2, 1, 1), "2 letters, expected 3", None),
+        (
+            KTableau(3, [[1, 1, 2]]),
+            (2,),
+            "letter 2 spans 1 residues, expected 0",
+            Cell(1, 3),
+        ),
+        (
+            KTableau(2, [[1, 2, 2, 2], [3, 3]]),
+            None,
+            "letter 2 spans 3 residues > k=2",
+            Cell(1, 2),
+        ),
+        (
+            KTableau(3, [[1, 1, 2, 3, 3], [2, 3], [3]]),
+            (2, 2, 3),
+            "residue classes sum to 7 but shape has 6 k-bounded hooks",
+            None,
+        ),
     ],
-    ids=["span-exceeds-k", "too-few-letters"],
+    ids=[
+        "span-exceeds-k",
+        "too-few-letters",
+        "missing-letter",
+        "expected-extra-part",
+        "unexpected-letter",
+        "later-span-exceeds-k",
+        "hook-sum-mismatch",
+    ],
 )
 def test_validate_names_the_problem_and_cell(tab, weight, problem, cell):
     assert validate(tab, weight) == ValidationReport(False, problem, cell)
