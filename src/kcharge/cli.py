@@ -9,6 +9,7 @@ import sys
 
 from .cores import Partition, _hook_facts, _parse_digits, _partition_fault, n_stat
 from .ktableaux import (
+    _INT_TYPE,
     enumerate_k_tableaux,
     parse_json,
     parse_text,
@@ -101,6 +102,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value: object) -> str:
+    """One JSON scalar, as `json.dumps` writes it."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    return json.dumps(value)
+
+
+def _json_text(obj: object, newline: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, for what the commands emit:
+    dicts with string keys, lists and tuples, ints, strings, bools and
+    None.  `indent` selects json's pure-Python encoder; this writes the
+    same text directly.  `newline` is the line break and indent of the
+    level that holds `obj`.  A list of scalars is written in one join,
+    with no call of `_json_text` per item, and each container's text is
+    built in one f-string, not by a chain of concatenations that copies it
+    again at each step."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        texts = [f"{_encode_str(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+        return f"{{{inner}{(',' + inner).join(texts)}{newline}}}"
+    if not isinstance(obj, (list, tuple)):
+        return _json_scalar(obj)
+    if not obj:
+        return "[]"
+    inner = newline + "  "
+    kinds = set(map(type, obj))
+    if kinds == _INT_TYPE:
+        texts = map(int.__repr__, obj)
+    elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        texts = [_json_text(item, inner) for item in obj]
+    else:
+        texts = map(_json_scalar, obj)
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -120,7 +166,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "count": len(tableaux),
             "tableaux": [to_json_dict(t) for t in tableaux],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
     else:
         blocks = [to_text(t) for t in tableaux]
         _emit(args, "".join(b + "\n" for b in blocks) + f"count: {len(tableaux)}\n")
@@ -245,7 +291,7 @@ def cmd_stat(args: argparse.Namespace) -> int:
         return EXIT_INVALID_INPUT
     payload = _stat_payload(tab)
     if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
     else:
         _emit(args, _stat_text(payload))
     return EXIT_OK
@@ -269,7 +315,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             "k": args.k,
             "table": {str(shape): poly.to_json_dict() for shape, poly in table.items()},
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
     else:
         lines = [f"{shape}: {poly}" for shape, poly in table.items()]
         _emit(args, "\n".join(lines) + ("\n" if lines else ""))
@@ -300,7 +346,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for f in report.failures[:10]
             ],
         }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
     else:
         lines = [
             f"tableaux checked: {report.subjects_checked}",

@@ -35,26 +35,35 @@ logger = logging.getLogger(__name__)
 _INT_TYPE = frozenset({int})
 
 # The longest row whose cells are shared through `_cell_row`; a longer row
-# is made for its tableau alone, so that one huge tableau does not stay in
-# the cache.  The rows of the 7/10 sweep have at most 10 cells.
+# is streamed from `_row_cells` for its tableau alone, so that one huge
+# tableau does not stay in the cache.  The rows of the 7/10 sweep have at
+# most 10 cells.
 _SHARED_ROW_CELLS = 64
+
+
+def _row_cells(i: int, length: int) -> Iterator[tuple[Cell, frozenset[Cell]]]:
+    """(Cell(i, j), frozenset({Cell(i, j)})) for j = 1..length, one pair
+    at a time.  Each `Cell` is made as a plain tuple, without the
+    Python-level `__new__` of a NamedTuple.  A row longer than
+    `_SHARED_ROW_CELLS` is read from here directly, so its pairs are never
+    held all at once."""
+    make = tuple.__new__
+    for j in range(1, length + 1):
+        cell = make(Cell, (i, j))
+        yield cell, frozenset((cell,))
 
 
 @lru_cache(maxsize=4096)
 def _cell_row(i: int, length: int) -> tuple[tuple[Cell, frozenset[Cell]], ...]:
-    """(Cell(i, j), frozenset({Cell(i, j)})) for j = 1..length, shared by
-    every tableau with a row i of that length.
+    """The pairs of `_row_cells(i, length)`, shared by every tableau with a
+    row i of that length.
 
-    Each `Cell` is made as a plain tuple, without the Python-level
-    `__new__` of a NamedTuple.  The rows of a sweep's tableaux repeat: a
-    cold `verify --max-k 5 --max-weight 7` reads 28 distinct keys and 6/9
-    reads 45, so the cache of the 4,096 most recent keys makes each row's
-    cells about once per process.  It holds no letters, so the index that
-    reads it stays independent of how the tableau was built.  Rows longer
-    than `_SHARED_ROW_CELLS` go to the uncached `_cell_row.__wrapped__`."""
-    make = tuple.__new__
-    cells = [make(Cell, (i, j)) for j in range(1, length + 1)]
-    return tuple([(cell, frozenset((cell,))) for cell in cells])
+    The rows of a sweep's tableaux repeat: a cold `verify --max-k 5
+    --max-weight 7` reads 28 distinct keys and 6/9 reads 45, so the cache
+    of the 4,096 most recent keys makes each row's cells about once per
+    process.  It holds no letters, so the index that reads it stays
+    independent of how the tableau was built."""
+    return tuple(_row_cells(i, length))
 
 
 class KTableau:
@@ -143,13 +152,13 @@ class KTableau:
 
         Each row's cells and their one-cell classes come from the shared
         `_cell_row`, so no `Cell` and no frozenset is made per cell, and
-        the residue steps along the row.  A letter's first cell of a
-        residue takes that cell's shared one-cell frozenset; only a second
-        cell turns the class into a list, and each such list is frozen
-        once at the end.  The weight is recorded only when the letters are
-        1..r with none missing; otherwise `_weight` is None and `weight`
-        spells out the zeros on request, so a huge letter costs nothing
-        here."""
+        the residue steps along the row; a row too long to share streams
+        them from `_row_cells`.  A letter's first cell of a residue takes
+        that cell's shared one-cell frozenset; only a second cell turns the
+        class into a list, and each such list is frozen once at the end.
+        The weight is recorded only when the letters are 1..r with none
+        missing; otherwise `_weight` is None and `weight` spells out the
+        zeros on request, so a huge letter costs nothing here."""
         n = self.k + 1
         by_letter: dict[int, list[Cell]] = {}
         by_residue: dict[int, dict[int, list[Cell] | frozenset[Cell]]] = {}
@@ -161,7 +170,7 @@ class KTableau:
             shared = (
                 _cell_row(i, length)
                 if length <= _SHARED_ROW_CELLS
-                else _cell_row.__wrapped__(i, length)
+                else _row_cells(i, length)
             )
             for x, (cell, one) in zip(row, shared):
                 cells = by_letter.get(x)

@@ -7,9 +7,10 @@ Two equivalent formulations are implemented for each statistic:
 * "morse" - manifestly non-negative recursions (M, J) driven by cyclic
             residue orders, plus a diagonal count to an addable corner.
 
-Both are read off one step rule per standard sequence (`_steps`), whose
-steps are read as columns, one per vector: by `_walk` as the record that
-`stat` renders, and by the identity checker in `sweeps`.
+Both are read off one step rule per standard sequence (`_steps`), which
+returns its ten columns, one per vector: `_walk` freezes them as the
+record that `stat` renders, and the identity checker in `sweeps` reads
+them as they are.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cores import (
     Cell,
@@ -170,18 +171,20 @@ class SequenceReport(NamedTuple):
         return sum(self.J) + sum(self.diag_add_high)
 
 
-def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
+def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
     """The step rule of the walk down one standard sequence, modulus n = k+1.
 
-    Yields, for each letter i in turn, the tuple
+    Returns its ten columns, one entry per letter i in turn,
 
-        (L_i, M_i, I_i, J_i, diag_prev_low_i, diag_prev_high_i,
-         diag_add_low_i, diag_add_high_i, low_pivot_i, high_pivot_i)
+        (L, M, I, J, diag_prev_low, diag_prev_high,
+         diag_add_low, diag_add_high, low_pivots, high_pivots),
 
-    from a small state carried from letter to letter: the right-most
-    bottom-row column c and the top row r of the restriction to letters
-    <= i, the previous letter's lowest and highest cells and residue, and
-    the running L, M, I and J.  Every line follows one definition:
+    each built in place with one append per letter from a small state
+    carried from letter to letter: the right-most bottom-row column c and
+    the top row r of the restriction to letters <= i, the previous letter's
+    lowest and highest cells and residue, and the running L, M, I and J.  A
+    sequence with no entries gives ten empty columns.  Every line follows
+    one definition:
 
     * the restriction is never built.  Its lowest addable cell is (1, c+1)
       and its highest addable cell (r+1, 1), on diagonals c and -r;
@@ -203,6 +206,10 @@ def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
     Raises ValueError when letter 1 has no bottom-row cell, which no
     k-tableau allows, whichever formulation the caller reads.
     """
+    # Each column is appended to by name: `list.append` called in place is
+    # cheaper than a stored bound method.
+    columns = ([], [], [], [], [], [], [], [], [], [])
+    Ls, Ms, Is, Js, prev_lows, prev_highs, add_lows, add_highs, low_pivots, high_pivots = columns
     L = M = I = J = 0
     bottom_col = top_row = 0
     prev_res = None
@@ -231,7 +238,8 @@ def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
         gap = abs(high_diag + top_row)
         add_high = (gap - 1) // n if gap else 0
         if prev_res is None:
-            yield 0, 0, 0, 0, 0, 0, add_low, add_high, None, None
+            prev_low = prev_high = 0
+            low_pivot = high_pivot = None
         else:
             gap = abs(low_diag - prev_low_diag)
             prev_low = (gap - 1) // n if gap else 0
@@ -247,19 +255,28 @@ def _steps(seq: StandardSequence, n: int) -> Iterator[tuple[int, ...]]:
             high_pivot = -top_row % n
             if (high_pivot - res) % n < (high_pivot - prev_res) % n:
                 J += 1
-            yield L, M, I, J, prev_low, prev_high, add_low, add_high, low_pivot, high_pivot
+        Ls.append(L)
+        Ms.append(M)
+        Is.append(I)
+        Js.append(J)
+        prev_lows.append(prev_low)
+        prev_highs.append(prev_high)
+        add_lows.append(add_low)
+        add_highs.append(add_high)
+        low_pivots.append(low_pivot)
+        high_pivots.append(high_pivot)
         prev_res = res
         prev_low_row, prev_low_diag = low_row, low_diag
         prev_high_col, prev_high_diag = high_col, high_diag
+    return columns
 
 
 def _walk(seq: StandardSequence, k: int) -> SequenceReport:
-    """Every per-letter vector of one standard sequence: the steps of
-    `_steps` read as columns, pivots included; `stat` renders the orders.
-    A sequence with no entries has ten empty columns."""
-    columns = tuple(zip(*_steps(seq, k + 1))) or ((),) * 10
+    """Every per-letter vector of one standard sequence: `_steps` returns
+    its ten columns, pivots included, and they are frozen as tuples; `stat`
+    renders the orders."""
     letters = tuple(e.letter for e in seq.entries)
-    return SequenceReport(letters, seq.residues(), *columns)
+    return SequenceReport(letters, seq.residues(), *map(tuple, _steps(seq, k + 1)))
 
 
 def sequence_reports(tab: KTableau) -> list[SequenceReport]:

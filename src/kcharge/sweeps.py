@@ -92,8 +92,8 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     """Run every statistics-module identity on one tableau.
 
     Returns (number of identities checked, failures).  The facts are read
-    in fused passes.  Each standard sequence is read as `_walk` reads it,
-    as the columns of its steps (`statistics._steps`); they give the four
+    in fused passes.  Each standard sequence is read as `_walk` reads it:
+    `statistics._steps` returns its ten columns, which give the four
     totals, each sequence's terms and the diagonal vectors.  The letter
     pass, over letters 1..n_letters, gives each restriction's shape, each
     letter's cell count and, on a standard tableau, both diagonal rules.
@@ -125,7 +125,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     # Per sequence, the columns that the morse terms are read from.
     walks = []
     for seq in seqs:
-        L, M, I, J, _, _, add_low, add_high, _, _ = zip(*_steps(seq, n))
+        L, M, I, J, _, _, add_low, add_high, _, _ = _steps(seq, n)
         cocharge_lp += sum(L)
         charge_lp += sum(I)
         cocharge_morse += sum(M) + sum(add_low)

@@ -8,8 +8,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kcharge import cli
+from kcharge.ktableaux import enumerate_k_tableaux, parse_json, parse_text, to_json, to_text
 from kcharge.sweeps import SweepFailure, SweepReport
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
@@ -702,3 +704,78 @@ def test_verify_failure_output_lists_ten_counterexamples(monkeypatch, capsys, fm
         expected += [f"counterexample [identity {i}] detail {i}", "k=3", f"{i}_0"]
     assert lines[3:] == expected
     assert out.endswith("\n")
+
+
+# What the JSON writer must write as `json.dumps` does: huge and negative
+# ints, quotes, backslashes, newlines, control and non-ASCII characters,
+# and nested dicts, lists and tuples with empty ones at every depth.
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f\x7f", "é ø", "\u2028", "😀", 'a"\\b\n\tc']
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2**100), 2**100, 10**40, -1, 0])
+    | json_strings
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example({"": [], "a": {}, "b": [[], {}, [[]]], "c": ({"d": ()},)})
+@example(["x\ny", None, True, False, -7, "\"\\"])
+def test_json_text_is_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_writes_every_stat_payload_of_a_weight():
+    # A weight of the benchmark's kind: long standard sequences, several
+    # sequences per tableau.
+    tableaux = enumerate_k_tableaux(4, (4, 2, 2, 2, 2, 1, 1))
+    assert len(tableaux) == 73
+    for tab in tableaux:
+        payload = cli._stat_payload(tab)
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--k", "4", "--weight", "3,2,1,1"],
+        ["table", "--k", "4", "--weight", "2,2,1,1"],
+        ["table", "--classical", "--weight", "3,2,1"],
+        ["verify", "--max-k", "6", "--max-weight", "9"],
+    ],
+    ids=["enumerate", "table", "table-classical", "verify-fail"],
+)
+def test_json_output_is_json_dumps_indent_2(monkeypatch, capsys, argv):
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == (1 if argv[0] == "verify" else 0)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if argv[0] == "verify":
+        # Each failure's context is a tableau's text form, newlines and all.
+        assert payload["failures"] and all("\n" in f["context"] for f in payload["failures"])
+
+
+def test_text_and_json_forms_round_trip_on_random_tableaux(monkeypatch, capsys, random_tableaux):
+    for _, tab in random_tableaux:
+        text, blob = to_text(tab), to_json(tab)
+        assert parse_text(text) == tab
+        assert parse_json(blob) == tab
+        outputs = []
+        for stdin in (text, blob):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert cli.main(["stat", "-", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == cli._json_text(json.loads(outputs[0])) + "\n"
