@@ -179,7 +179,7 @@ def _read_tableau(source: str):
     else:
         with open(source) as fh:
             raw = fh.read()
-    if raw.lstrip().startswith("{"):
+    if raw.lstrip().startswith(("{", "[")):
         return parse_json(raw)
     return parse_text(raw)
 
@@ -228,8 +228,8 @@ def _stat_text(payload: dict) -> str:
     lines = [
         "k={k} shape={shape} weight={weight}".format(
             k=payload["k"],
-            shape="(" + ",".join(str(p) for p in payload["shape"]) + ")",
-            weight="(" + ",".join(str(p) for p in payload["weight"]) + ")",
+            shape=Partition._trusted(payload["shape"]),
+            weight=Partition._trusted(payload["weight"]),
         )
     ]
     # As wide as the longest order shown, and at least the header.

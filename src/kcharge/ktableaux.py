@@ -8,7 +8,6 @@ stored bottom-first to match the (row, col) cell convention of `cores`.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, ge, le, lt
@@ -28,8 +27,6 @@ from .cores import (
     partition_sort_key,
     semistandard_fillings,
 )
-
-logger = logging.getLogger(__name__)
 
 # The one letter type that needs no per-letter conversion.
 _INT_TYPE = frozenset({int})
@@ -427,10 +424,6 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
                 for res in classes:
                     if (prev - res) % n < nearest:
                         chosen, nearest = res, (prev - res) % n
-            if chosen == prev:
-                logger.debug(
-                    "standard sequence repeats residue %d at letter %d", chosen, letter
-                )
             classes.discard(chosen)
             entries.append(entry(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
             prev = chosen

@@ -1,4 +1,4 @@
-"""Exhaustive verification sweeps over enumerated k-tableaux and cores.
+"""Exhaustive verification sweeps over enumerated k-tableaux.
 
 Every identity relating the two charge formulations is checked on every
 tableau within the requested bounds; the first counterexample, if any,
@@ -12,17 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
-from .cores import (
-    Cell,
-    Partition,
-    _hook_facts,
-    addable_corners,
-    is_n_core,
-    n_stat,
-    partitions,
-    removable_corners,
-    residue,
-)
+from .cores import Cell, Partition, _hook_facts, n_stat, partitions
 from .ktableaux import (
     KTableau,
     enumerate_k_tableaux,
@@ -324,61 +314,4 @@ def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> Swe
         partials = map(_statistics_task, tasks)
     for partial in partials:
         report.merge(partial)
-    return report
-
-
-def run_core_sweep(max_n: int, max_cells: int) -> SweepReport:
-    """Corner-exclusion and extremal-propagation checks over all n-cores
-    with at most max_cells cells, 2 <= n <= max_n.
-
-    Cores come from a brute-force filter over all partitions, independent
-    of the residue-growth enumerator.
-    """
-    report = SweepReport()
-    shapes = [
-        lam for size in range(max_cells + 1) for lam in partitions(size)
-    ]
-    for n in range(2, max_n + 1):
-        for lam in shapes:
-            if not is_n_core(lam, n):
-                continue
-            report.subjects_checked += 1
-            addable = {r for _, r in addable_corners(lam, n)}
-            removable = {r for _, r in removable_corners(lam, n)}
-            report.identities_checked += 1
-            if addable & removable:
-                report.failures.append(
-                    SweepFailure(
-                        "no addable and removable corner share a residue",
-                        f"residues {sorted(addable & removable)}",
-                        f"n={n} core {lam}",
-                    )
-                )
-            extremal = [
-                c for c in lam.cells() if not lam.contains(Cell(c.row + 1, c.col + 1))
-            ]
-            conj = lam.conjugate()
-            for c in extremal:
-                for c2 in extremal:
-                    if c2 == c or residue(c, n) != residue(c2, n):
-                        continue
-                    report.identities_checked += 1
-                    nw = c2.row >= c.row and c2.col <= c.col
-                    se = c2.row <= c.row and c2.col >= c.col
-                    if nw and c.col == lam[c.row - 1] and c2.col != lam[c2.row - 1]:
-                        report.failures.append(
-                            SweepFailure(
-                                "extremal propagation along rows",
-                                f"{tuple(c)} ends its row but {tuple(c2)} does not",
-                                f"n={n} core {lam}",
-                            )
-                        )
-                    if se and c.row == conj[c.col - 1] and c2.row != conj[c2.col - 1]:
-                        report.failures.append(
-                            SweepFailure(
-                                "extremal propagation along columns",
-                                f"{tuple(c)} tops its column but {tuple(c2)} does not",
-                                f"n={n} core {lam}",
-                            )
-                        )
     return report

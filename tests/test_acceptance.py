@@ -8,7 +8,17 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 import time
 from contextlib import contextmanager
 
-from kcharge.cores import Partition, k_interior, n_stat, partitions
+from kcharge.cores import (
+    Cell,
+    Partition,
+    addable_corners,
+    is_n_core,
+    k_interior,
+    n_stat,
+    partitions,
+    removable_corners,
+    residue,
+)
 from kcharge.ktableaux import KTableau, enumerate_k_tableaux, standard_sequences
 from kcharge.statistics import (
     charge_table,
@@ -22,7 +32,7 @@ from kcharge.statistics import (
     k_cocharge,
     kostka_foulkes_table,
 )
-from kcharge.sweeps import run_core_sweep, run_statistics_sweep
+from kcharge.sweeps import run_statistics_sweep
 
 TAB_STANDARD_9 = KTableau(4, [[1, 2, 3, 5, 7, 9], [4, 6], [5, 7], [8]])
 TAB_SEMISTANDARD_13 = KTableau(
@@ -138,7 +148,37 @@ def test_criterion_7_large_k_degeneration():
 
 
 def test_criterion_8_core_invariants():
+    """Over every n-core of at most 12 cells, 2 <= n <= 5, found by the
+    brute-force filter `is_n_core` rather than the residue-growth
+    enumerator: no addable corner shares a residue with a removable one.
+    Among the extremal cells (no cell up and to the right) of one residue,
+    when one ends its row so does each north-west of it, and when one tops
+    its column so does each south-east of it."""
     with criterion(8, "core corner and extremal invariants", 60.0):
-        report = run_core_sweep(max_n=5, max_cells=12)
-        assert report.subjects_checked > 0
-        assert report.ok, report.failures[:3]
+        shapes = [lam for size in range(13) for lam in partitions(size)]
+        cores = identities = 0
+        for n in range(2, 6):
+            for lam in shapes:
+                if not is_n_core(lam, n):
+                    continue
+                cores += 1
+                addable = {r for _, r in addable_corners(lam, n)}
+                removable = {r for _, r in removable_corners(lam, n)}
+                identities += 1
+                assert not addable & removable, (n, lam)
+                extremal = [
+                    c for c in lam.cells() if not lam.contains(Cell(c.row + 1, c.col + 1))
+                ]
+                conj = lam.conjugate()
+                for c in extremal:
+                    for c2 in extremal:
+                        if c2 == c or residue(c, n) != residue(c2, n):
+                            continue
+                        identities += 1
+                        if c2.row >= c.row and c2.col <= c.col and c.col == lam[c.row - 1]:
+                            assert c2.col == lam[c2.row - 1], (n, lam, c, c2)
+                        if c2.row <= c.row and c2.col >= c.col and c.row == conj[c.col - 1]:
+                            assert c2.row == conj[c2.col - 1], (n, lam, c, c2)
+        # One corner identity per core, one per ordered pair of extremal cells
+        # of one residue.
+        assert (cores, identities) == (124, 742)

@@ -49,12 +49,14 @@ def run_cli(*args, stdin=None, env=None):
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # Only a parallel verify sweep needs multiprocessing, so only it imports it.
+    # Only a parallel verify sweep needs multiprocessing, so only it imports
+    # it; nothing in kcharge logs, so nothing imports logging.
     proc = run_python(
-        "-c", "import sys, kcharge.cli; print('multiprocessing' in sys.modules)"
+        "-c",
+        "import sys, kcharge.cli; print([m in sys.modules for m in ('multiprocessing', 'logging')])",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 def test_enumerate_weight_321():
@@ -622,6 +624,15 @@ def test_stat_malformed_json_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: bad JSON: ")
+
+
+def test_stat_json_array_is_not_an_object(monkeypatch, capsys):
+    # An array is read as JSON too, not as a text tableau without a header.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(" [1]\n"))
+    assert cli.main(["stat", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected a JSON object, got list\n"
 
 
 def test_enumerate_rejects_a_zero_weight_part(capsys):
