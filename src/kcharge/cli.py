@@ -9,7 +9,7 @@ import sys
 
 from .cores import Partition, _hook_facts, _parse_digits, _partition_fault, n_stat
 from .ktableaux import (
-    _INT_TYPE,
+    ValidationReport,
     enumerate_k_tableaux,
     parse_json,
     parse_text,
@@ -103,6 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+
+# The one scalar type whose list `_json_text` writes in a single join.
+_INT_TYPE = frozenset({int})
 
 
 def _json_scalar(value: object) -> str:
@@ -285,6 +288,10 @@ def _stat_text(payload: dict) -> str:
 def cmd_stat(args: argparse.Namespace) -> int:
     tab = _read_tableau(args.input)
     report = validate(tab)
+    if report.ok and _partition_fault(tab.weight):
+        # A valid k-tableau may have any composition as its weight, but its
+        # standard sequences, and so its statistics, need a partition.
+        report = ValidationReport(False, f"weight {tab.weight} is not a partition")
     if not report.ok:
         where = f" at cell {tuple(report.cell)}" if report.cell else ""
         print(f"invalid tableau: {report.problem}{where}", file=sys.stderr)

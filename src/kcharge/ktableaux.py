@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter, ge, le, lt
+from operator import ge, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
@@ -27,9 +27,6 @@ from .cores import (
     partition_sort_key,
     semistandard_fillings,
 )
-
-# The one letter type that needs no per-letter conversion.
-_INT_TYPE = frozenset({int})
 
 # The longest row whose cells are shared through `_cell_row`; a longer row
 # is streamed from `_row_cells` for its tableau alone, so that one huge
@@ -70,13 +67,10 @@ class KTableau:
     letters are positive integers; use `validate` for the full k-tableau
     conditions, so that candidate fillings can be built and then rejected.
     `k` and the letters must be integers: bools, floats and strings are
-    rejected rather than coerced.  Each row's letters are checked whole:
-    the set of their types must be {int} and their minimum at least 1.
-    Only when some letter is not an `int` (a bool, a float, a string, an
-    int subclass) does each letter go through `_strict_int`.  Every
-    letter's type is checked before any letter's sign, and an error names
-    the first offender in reading order.  The row lengths, bottom row
-    first, must form a partition; an error names them.
+    rejected rather than coerced.  Every letter's type is checked before
+    any letter's sign, and an error names the first offender in reading
+    order.  The row lengths, bottom row first, must form a partition; an
+    error names them.
 
     Two indexes are built together, in one pass over the rows, on first
     use of either, and then shared by every reader: letter -> cells
@@ -99,12 +93,7 @@ class KTableau:
         self.k = _strict_int(k, "k")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        rows = tuple(map(tuple, rows))
-        if not all(set(map(type, row)) <= _INT_TYPE for row in rows):
-            rows = tuple(
-                tuple(x if type(x) is int else _strict_int(x, "letter") for x in row)
-                for row in rows
-            )
+        rows = tuple(tuple(_strict_int(x, "letter") for x in row) for row in rows)
         for row in rows:
             if row and min(row) < 1:
                 bad = next(x for x in row if x < 1)
@@ -398,12 +387,9 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
 
     # Letter 1's classes in the order the sequences start from them: by
     # their right-most cell, right to left (a tie keeps set order, as a
-    # `max` over the unused classes would).  A single class needs no sort.
+    # `max` over the unused classes would).
     ones = groups[0]
-    if len(ones) == 1:
-        starts = ones
-    else:
-        starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
+    starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups[1:]]
@@ -416,14 +402,11 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
         for letter, classes in enumerate(unused, start=2):
             if not classes:
                 break
-            if len(classes) == 1:
-                (chosen,) = classes
-            else:
-                # The unused class nearest counter-clockwise from prev.
-                nearest = n
-                for res in classes:
-                    if (prev - res) % n < nearest:
-                        chosen, nearest = res, (prev - res) % n
+            # The unused class nearest counter-clockwise from prev.
+            nearest = n
+            for res in classes:
+                if (prev - res) % n < nearest:
+                    chosen, nearest = res, (prev - res) % n
             classes.discard(chosen)
             entries.append(entry(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
             prev = chosen
@@ -560,9 +543,7 @@ def enumerate_k_tableaux(
     and strings raise ValueError), checked before anything is grown.
     Output is in canonical order: by shape (size, then
     reverse-lexicographic), then by bottom-to-top left-to-right reading
-    word.  The found tableaux are grouped by shape; the distinct shapes
-    are sorted by `partition_sort_key`, so each shape's key is computed
-    once, and then each shape's tableaux by their rows.
+    word.
 
     Strategies: "fast" grows the tableau letter by letter, adding every
     weak strip of the letter's size that the k-bounded Pieri rule allows,
@@ -586,14 +567,7 @@ def enumerate_k_tableaux(
         raise ValueError(f"unknown strategy {strategy!r}")
     # Tableaux of one shape have equal row lengths, so comparing the rows
     # orders them exactly as their bottom-to-top reading words.
-    by_shape: dict[Partition, list[KTableau]] = {}
-    for tab in found:
-        by_shape.setdefault(tab.shape, []).append(tab)
-    return [
-        tab
-        for shape in sorted(by_shape, key=partition_sort_key)
-        for tab in sorted(by_shape[shape], key=attrgetter("rows"))
-    ]
+    return sorted(found, key=lambda tab: (partition_sort_key(tab.shape), tab.rows))
 
 
 def to_text(tab: KTableau) -> str:

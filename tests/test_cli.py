@@ -228,6 +228,16 @@ def test_stat_huge_letter_exits_3_at_once(stdin):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("stdin", ["k=3\n1_0 2_1 2_2\n", '{"k": 3, "rows": [[1, 2, 2]]}'])
+def test_stat_composition_weight_exits_3(stdin):
+    # `enumerate --k 3 --weight 1,2` prints this valid k-tableau, but its
+    # statistics need a partition weight: invalid data, not a usage error.
+    result = run_cli("stat", "-", stdin=stdin)
+    assert result.returncode == 3
+    assert result.stderr == "invalid tableau: weight (1, 2) is not a partition\n"
+    assert result.stdout == ""
+
+
 def test_table_weight_321():
     result = run_cli("table", "--k", "3", "--weight", "3,2,1")
     assert result.returncode == 0

@@ -671,8 +671,7 @@ def test_ktableau_names_the_first_bad_letter(rows, message):
 
 
 def test_ktableau_converts_integer_like_letters():
-    # Letters of another integer type take the per-letter path and are
-    # stored as ints; plain ints are stored as given.
+    # Letters of an int subclass are stored as plain ints.
     class Letter(int):
         pass
 

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,6 +210,19 @@ def test_charge_both_formulations(tab_standard_9, tab_semistandard_13):
     assert k_charge(tab_semistandard_13, "morse") == 12
     with pytest.raises(ValueError):
         k_charge(tab_standard_9, "other")
+
+
+def test_readme_quick_start_runs(tab_standard_9, capsys):
+    # The README's library example states the golden statistics above on
+    # the same standard tableau; it runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["tab"] == tab_standard_9
+    assert k_cocharge(namespace["tab"]) == 13 and k_charge(namespace["tab"]) == 21
+    sequences = standard_sequences(tab_standard_9)
+    assert capsys.readouterr().out == "".join(f"{seq.residues()}\n" for seq in sequences)
 
 
 def test_weight_one_tableau_has_zero_statistics():
