@@ -306,11 +306,11 @@ def cmd_stat(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     weight = _parse_csv_ints(args.weight, "weight")
+    if (args.k is not None) == args.classical:
+        raise ValueError("table needs exactly one of --k and --classical")
     if args.classical:
         table = kostka_foulkes_table(weight)
     else:
-        if args.k is None:
-            raise ValueError("either --k or --classical is required")
         table = charge_table(args.k, weight, formulation=args.formulation)
     if args.shape:
         wanted = _parse_shape(args.shape)

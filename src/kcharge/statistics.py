@@ -140,7 +140,12 @@ def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
 class SequenceReport(NamedTuple):
     """The step columns of one standard sequence, one entry per letter.
 
-    low_pivots and high_pivots hold the residue mod k+1 at which each
+    These are the public index vectors of both formulations.  L and I are
+    the lp formulation's signed cocharge and charge vectors, with
+    diag_prev_low and diag_prev_high their diagonal corrections; M and J
+    are the morse formulation's non-negative vectors, with diag_add_low
+    and diag_add_high their corrections to the lowest and highest addable
+    cell.  low_pivots and high_pivots hold the residue mod k+1 at which each
     letter's low and high `ResidueOrder` is pivoted (None for letter 1,
     which has no order); `stat` renders the orders from them.
     """
@@ -283,43 +288,6 @@ def sequence_reports(tab: KTableau) -> list[SequenceReport]:
     """Per-sequence index vectors, residue-order pivots, and diag
     corrections: one `_walk` per standard sequence."""
     return [_walk(seq, tab.k) for seq in standard_sequences(tab)]
-
-
-def index_L(seq: StandardSequence, k: int) -> list[int]:
-    """Signed cocharge index vector over one standard sequence (a view of
-    the `_walk` record)."""
-    return list(_walk(seq, k).L)
-
-
-def index_I(seq: StandardSequence, k: int) -> list[int]:
-    """Signed charge index vector over one standard sequence (a view of
-    the `_walk` record)."""
-    return list(_walk(seq, k).I)
-
-
-def index_M(seq: StandardSequence, k: int) -> list[int]:
-    """Non-negative cocharge index vector: +1 whenever the residue rises in
-    the low residue order of the sequence restriction (a view of the
-    `_walk` record)."""
-    return list(_walk(seq, k).M)
-
-
-def index_J(seq: StandardSequence, k: int) -> list[int]:
-    """Non-negative charge index vector: as index_M but under the high
-    residue order (a view of the `_walk` record)."""
-    return list(_walk(seq, k).J)
-
-
-def diag_to_lowest_addable(seq: StandardSequence, k: int) -> list[int]:
-    """diag(lowest occurrence of i, lowest addable cell of the restriction),
-    a view of the `_walk` record."""
-    return list(_walk(seq, k).diag_add_low)
-
-
-def diag_to_highest_addable(seq: StandardSequence, k: int) -> list[int]:
-    """diag(highest occurrence of i, highest addable cell of the
-    restriction), a view of the `_walk` record."""
-    return list(_walk(seq, k).diag_add_high)
 
 
 def _check_formulation(formulation: str) -> None:

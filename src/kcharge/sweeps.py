@@ -165,7 +165,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     by_letter = tab._letter_index()
     row_counts = [0] * len(tab.rows)
     sizes = []
-    not_cores = []
     # (identity, detail) of each failing diagonal rule, letter by letter.
     rule_failures = []
     for i in range(1, tab.n_letters + 1):
@@ -175,7 +174,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             row_counts[row - 1] += 1
         counts = tuple(filter(None, row_counts))
         if _hook_facts(counts, n)[0] is not None:
-            not_cores.append(f"restriction to {i} has shape {Partition(counts)}")
+            fail("restriction is a core", f"restriction to {i} has shape {Partition(counts)}")
         if standard:
             up_row, up_col = cells[-1]
             res = (up_col - up_row) % n
@@ -208,8 +207,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                     )
                 )
     checked += len(sizes)
-    for detail in not_cores:
-        fail("restriction is a core", detail)
 
     # The entry pass.
     seen: set[Cell] = set()

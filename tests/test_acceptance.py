@@ -19,18 +19,13 @@ from kcharge.cores import (
     removable_corners,
     residue,
 )
-from kcharge.ktableaux import KTableau, enumerate_k_tableaux, standard_sequences
+from kcharge.ktableaux import KTableau, enumerate_k_tableaux
 from kcharge.statistics import (
     charge_table,
-    diag_to_highest_addable,
-    diag_to_lowest_addable,
-    index_I,
-    index_J,
-    index_L,
-    index_M,
     k_charge,
     k_cocharge,
     kostka_foulkes_table,
+    sequence_reports,
 )
 from kcharge.sweeps import run_statistics_sweep
 
@@ -59,31 +54,29 @@ def criterion(number, name, budget_seconds):
 
 def test_criterion_1_cocharge_table_golden():
     with criterion(1, "standard cocharge table", 1.0):
-        seq = standard_sequences(TAB_STANDARD_9)[0]
-        assert index_L(seq, 4) == [0, 0, 0, 1, 1, 2, 2, 4, 3]
-        assert index_M(seq, 4) == [0, 0, 0, 1, 1, 2, 2, 3, 3]
-        assert diag_to_lowest_addable(seq, 4) == [0, 0, 0, 0, 0, 0, 0, 1, 0]
+        report = sequence_reports(TAB_STANDARD_9)[0]
+        assert report.L == (0, 0, 0, 1, 1, 2, 2, 4, 3)
+        assert report.M == (0, 0, 0, 1, 1, 2, 2, 3, 3)
+        assert report.diag_add_low == (0, 0, 0, 0, 0, 0, 0, 1, 0)
         assert k_cocharge(TAB_STANDARD_9, "lp") == 13
         assert k_cocharge(TAB_STANDARD_9, "morse") == 13
 
 
 def test_criterion_2_charge_table_golden():
     with criterion(2, "standard charge table", 1.0):
-        seq = standard_sequences(TAB_STANDARD_9)[0]
-        assert index_I(seq, 4) == [0, 1, 2, 2, 2, 3, 3, 3, 5]
-        assert index_J(seq, 4) == [0, 1, 2, 2, 2, 3, 3, 3, 4]
-        assert diag_to_highest_addable(seq, 4) == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+        report = sequence_reports(TAB_STANDARD_9)[0]
+        assert report.I == (0, 1, 2, 2, 2, 3, 3, 3, 5)
+        assert report.J == (0, 1, 2, 2, 2, 3, 3, 3, 4)
+        assert report.diag_add_high == (0, 0, 0, 0, 0, 0, 0, 0, 1)
         assert k_charge(TAB_STANDARD_9, "lp") == 21
         assert k_charge(TAB_STANDARD_9, "morse") == 21
 
 
 def test_criterion_3_semistandard_golden():
     with criterion(3, "semistandard charge/cocharge", 1.0):
-        seqs = standard_sequences(TAB_SEMISTANDARD_13)
-        assert [sum(index_I(s, 4)) for s in seqs] == [5, 7]
-        per_seq_morse = [
-            sum(index_J(s, 4)) + sum(diag_to_highest_addable(s, 4)) for s in seqs
-        ]
+        reports = sequence_reports(TAB_SEMISTANDARD_13)
+        assert [sum(r.I) for r in reports] == [5, 7]
+        per_seq_morse = [sum(r.J) + sum(r.diag_add_high) for r in reports]
         assert per_seq_morse == [5, 7]
         assert k_charge(TAB_SEMISTANDARD_13, "lp") == 12
         assert k_charge(TAB_SEMISTANDARD_13, "morse") == 12

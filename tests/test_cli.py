@@ -258,8 +258,12 @@ def test_table_large_k_equals_classical():
 
 
 def test_table_requires_k_or_classical():
-    result = run_cli("table", "--weight", "2,1")
-    assert result.returncode == 2
+    # Neither option, then both: --classical must not silently drop --k.
+    for options in ((), ("--k", "2", "--classical")):
+        result = run_cli("table", *options, "--weight", "2,1")
+        assert result.returncode == 2
+        assert result.stderr == "error: table needs exactly one of --k and --classical\n"
+        assert result.stdout == ""
 
 
 def test_table_json():

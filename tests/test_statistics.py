@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import kcharge
 from kcharge import cli, cores, ktableaux, statistics, sweeps
 from kcharge.cores import Cell, Partition, k_interior, n_stat, partitions
 from kcharge.ktableaux import (
@@ -22,14 +23,8 @@ from kcharge.statistics import (
     TPolynomial,
     charge_table,
     diag,
-    diag_to_highest_addable,
-    diag_to_lowest_addable,
     high_order,
     highest_addable,
-    index_I,
-    index_J,
-    index_L,
-    index_M,
     k_charge,
     k_cocharge,
     kostka_foulkes_table,
@@ -166,34 +161,31 @@ def test_residue_order_accepts_every_pivot_of_its_modulus():
 
 
 def test_index_vectors_standard(tab_standard_9):
-    seq = standard_sequences(tab_standard_9)[0]
-    assert index_L(seq, 4) == [0, 0, 0, 1, 1, 2, 2, 4, 3]
-    assert index_M(seq, 4) == [0, 0, 0, 1, 1, 2, 2, 3, 3]
-    assert index_I(seq, 4) == [0, 1, 2, 2, 2, 3, 3, 3, 5]
-    assert index_J(seq, 4) == [0, 1, 2, 2, 2, 3, 3, 3, 4]
-    assert diag_to_lowest_addable(seq, 4) == [0, 0, 0, 0, 0, 0, 0, 1, 0]
-    assert diag_to_highest_addable(seq, 4) == [0, 0, 0, 0, 0, 0, 0, 0, 1]
+    report = sequence_reports(tab_standard_9)[0]
+    assert report.L == (0, 0, 0, 1, 1, 2, 2, 4, 3)
+    assert report.M == (0, 0, 0, 1, 1, 2, 2, 3, 3)
+    assert report.I == (0, 1, 2, 2, 2, 3, 3, 3, 5)
+    assert report.J == (0, 1, 2, 2, 2, 3, 3, 3, 4)
+    assert report.diag_add_low == (0, 0, 0, 0, 0, 0, 0, 1, 0)
+    assert report.diag_add_high == (0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_index_vectors_semistandard(tab_semistandard_13):
-    seqs = standard_sequences(tab_semistandard_13)
-    assert [sum(index_I(s, 4)) for s in seqs] == [5, 7]
-    assert index_J(seqs[0], 4) == [0, 0, 0, 1, 1, 1, 1]
-    assert diag_to_highest_addable(seqs[0], 4) == [0, 0, 0, 1, 0, 0, 0]
-    assert [sum(index_J(s, 4)) + sum(diag_to_highest_addable(s, 4)) for s in seqs] == [5, 7]
-    assert [sum(index_L(s, 4)) for s in seqs] == [12, 4]
+    reports = sequence_reports(tab_semistandard_13)
+    assert [sum(r.I) for r in reports] == [5, 7]
+    assert reports[0].J == (0, 0, 0, 1, 1, 1, 1)
+    assert reports[0].diag_add_high == (0, 0, 0, 1, 0, 0, 0)
+    assert [sum(r.J) + sum(r.diag_add_high) for r in reports] == [5, 7]
+    assert [sum(r.L) for r in reports] == [12, 4]
 
 
 def test_single_letter_vectors():
     tab = enumerate_k_tableaux(4, (1,))[0]
-    seq = standard_sequences(tab)[0]
-    for fn in (index_L, index_M, index_I, index_J):
-        assert fn(seq, 4) == [0]
+    report = sequence_reports(tab)[0]
+    assert (report.L, report.M, report.I, report.J) == ((0,),) * 4
     # No letter, no step: every column is empty.
     empty = ktableaux.StandardSequence(())
     assert statistics._walk(empty, 4) == SequenceReport(*((),) * 12)
-    for fn in (index_L, index_M, index_I, index_J):
-        assert fn(empty, 4) == []
 
 
 def test_cocharge_both_formulations(tab_standard_9, tab_semistandard_13):
@@ -255,22 +247,18 @@ def test_standard_formulation_equivalence_to_seven_letters():
     for k in (1, 2, 3, 4):
         for m in range(1, 8):
             for tab in enumerate_k_tableaux(k, (1,) * m):
-                seq = standard_sequences(tab)[0]
-                assert sum(index_L(seq, k)) == sum(index_M(seq, k)) + sum(
-                    diag_to_lowest_addable(seq, k)
-                )
-                assert sum(index_I(seq, k)) == sum(index_J(seq, k)) + sum(
-                    diag_to_highest_addable(seq, k)
-                )
+                report = sequence_reports(tab)[0]
+                assert sum(report.L) == sum(report.M) + sum(report.diag_add_low)
+                assert sum(report.I) == sum(report.J) + sum(report.diag_add_high)
 
 
 def test_standard_duality_constant():
     for mu_len in range(1, 7):
         mu = Partition([1] * mu_len)
         for tab in enumerate_k_tableaux(3, mu):
-            seq = standard_sequences(tab)[0]
-            low_side = sum(index_M(seq, 3)) + sum(diag_to_lowest_addable(seq, 3))
-            high_side = sum(index_J(seq, 3)) + sum(diag_to_highest_addable(seq, 3))
+            report = sequence_reports(tab)[0]
+            low_side = sum(report.M) + sum(report.diag_add_low)
+            high_side = sum(report.J) + sum(report.diag_add_high)
             interior = len(k_interior(tab.shape, 3))
             assert high_side == mu_len * (mu_len - 1) // 2 - interior - low_side
 
@@ -286,6 +274,12 @@ def test_sequence_reports(tab_semistandard_13):
     assert reports[1].cocharge_lp() == reports[1].cocharge_morse() == 4
     assert str(ResidueOrder(5, reports[0].high_pivots[1], "high")) == "3 > 2 > 1 > 0 > 4"
     assert reports[0].low_pivots[0] is None
+
+
+def test_package_exports_resolve():
+    # A stale entry would break `from kcharge import *`.
+    assert len(set(kcharge.__all__)) == len(kcharge.__all__)
+    assert [name for name in kcharge.__all__ if not hasattr(kcharge, name)] == []
 
 
 def test_sequence_report_is_an_immutable_hashable_record():
