@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--shape", default=None, help="restrict to one shape")
     p_table.add_argument("--classical", action="store_true",
                          help="use the classical charge over semistandard tableaux")
-    p_table.add_argument("--formulation", choices=FORMULATIONS, default="morse")
+    # None when not given: only a --k table takes it, and `charge_table`
+    # holds the default.
+    p_table.add_argument("--formulation", choices=FORMULATIONS, default=None)
     p_table.set_defaults(run=cmd_table)
     add_common(p_table)
 
@@ -227,6 +229,13 @@ def _stat_payload(tab) -> dict:
     }
 
 
+# The payload columns of a `stat` text row, in order.
+_STAT_COLUMNS = (
+    "letters", "residues", "diag_prev_low", "L", "low_orders", "M", "diag_add_low",
+    "diag_prev_high", "I", "high_orders", "J", "diag_add_high",
+)
+
+
 def _stat_text(payload: dict) -> str:
     lines = [
         "k={k} shape={shape} weight={weight}".format(
@@ -245,24 +254,17 @@ def _stat_text(payload: dict) -> str:
             if order
         ]
     )
+    # One 12-column template for the header and every letter's row; letter
+    # 1 has no orders and shows "-".
+    row = "  {:>3} {:>3} | {:>3} {:>3} {:>{w}} {:>3} {:>3} | {:>3} {:>3} {:>{w}} {:>3} {:>3}"
+    header = row.format(
+        "i", "res", "dL", "L", "low order", "M", "dM", "dI", "I", "high order", "J", "dJ",
+        w=order_width,
+    )
     for num, seq in enumerate(payload["sequences"], start=1):
-        lines.append(f"sequence {num}:")
-        header = (
-            f"  {'i':>3} {'res':>3} | {'dL':>3} {'L':>3} "
-            f"{'low order':>{order_width}} {'M':>3} {'dM':>3} | "
-            f"{'dI':>3} {'I':>3} {'high order':>{order_width}} {'J':>3} {'dJ':>3}"
-        )
-        lines.append(header)
-        for idx, letter in enumerate(seq["letters"]):
-            low = seq["low_orders"][idx] or "-"
-            high = seq["high_orders"][idx] or "-"
-            lines.append(
-                f"  {letter:>3} {seq['residues'][idx]:>3} | "
-                f"{seq['diag_prev_low'][idx]:>3} {seq['L'][idx]:>3} "
-                f"{low:>{order_width}} {seq['M'][idx]:>3} {seq['diag_add_low'][idx]:>3} | "
-                f"{seq['diag_prev_high'][idx]:>3} {seq['I'][idx]:>3} "
-                f"{high:>{order_width}} {seq['J'][idx]:>3} {seq['diag_add_high'][idx]:>3}"
-            )
+        lines += [f"sequence {num}:", header]
+        for values in zip(*[seq[name] for name in _STAT_COLUMNS]):
+            lines.append(row.format(*["-" if v is None else v for v in values], w=order_width))
         lines.append(
             "  sums: L={L} M+d={Md} I={I} J+d={Jd}".format(
                 L=sum(seq["L"]),
@@ -309,9 +311,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     if (args.k is not None) == args.classical:
         raise ValueError("table needs exactly one of --k and --classical")
     if args.classical:
+        if args.formulation is not None:
+            raise ValueError("table takes --formulation only with --k")
         table = kostka_foulkes_table(weight)
     else:
-        table = charge_table(args.k, weight, formulation=args.formulation)
+        formulation = {} if args.formulation is None else {"formulation": args.formulation}
+        table = charge_table(args.k, weight, **formulation)
     if args.shape:
         wanted = _parse_shape(args.shape)
         table = {shape: poly for shape, poly in table.items() if shape == wanted}

@@ -36,7 +36,7 @@ def _parse_digits(text: str, what: str) -> int:
     return int(text)
 
 
-def _partition_fault(parts: tuple[int, ...]) -> str | None:
+def _partition_fault(parts: Sequence[int]) -> str | None:
     """Why these integers are not the parts of a partition ("must be
     weakly decreasing" or "must be positive"), or None if they are.  Each
     caller names the parts in its own terms."""
@@ -201,9 +201,10 @@ def residue(cell: Cell, n: int) -> int:
     return (cell.col - cell.row) % n
 
 
-def _corner_residues(parts: Sequence[int], n: int) -> list[int | None]:
+def _corner_residues(parts: Sequence[int], n: int) -> Iterator[int | None]:
     """The n-residue of the addable corner of each 0-based row 0..len(parts),
-    None for a row that has none; row len(parts) is the new top row.
+    None for a row that has none; row len(parts) is the new top row.  They
+    are yielded one by one, so a caller reads them in a single pass.
 
     Row i is addable when the row below it is longer (row 0 always is), and
     its corner (i+1, parts[i]+1) has residue (parts[i] - i) % n; the new top
@@ -212,13 +213,11 @@ def _corner_residues(parts: Sequence[int], n: int) -> list[int | None]:
     """
     if n < 2:
         raise ValueError(f"residue modulus must be at least 2, got {n}")
-    residues: list[int | None] = []
     below = None
     for i, part in enumerate(parts):
-        residues.append((part - i) % n if below is None or below > part else None)
+        yield (part - i) % n if below is None or below > part else None
         below = part
-    residues.append(-len(parts) % n)
-    return residues
+    yield -len(parts) % n
 
 
 def addable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
@@ -265,7 +264,8 @@ def n_stat(mu: Partition) -> int:
 
 
 def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
-    """Fill every addable corner of the given residue; None if there is none.
+    """Fill every addable corner of the given residue, in one pass over
+    `_corner_residues`; None if there is none.
 
     For an n-core this yields an n-core again, with one more (n-1)-bounded
     hook.

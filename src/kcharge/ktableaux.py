@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge, le, lt
+from operator import le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
@@ -375,7 +375,7 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     """
     n = tab.k + 1
     weight = tab.weight
-    if not all(map(ge, weight, weight[1:])):
+    if _partition_fault(weight):
         raise ValueError(f"weight {weight} is not a partition")
     if max(weight, default=0) > tab.k:
         raise ValueError(f"weight {weight} has a part exceeding k={tab.k}")

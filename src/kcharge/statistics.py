@@ -10,7 +10,9 @@ Two equivalent formulations are implemented for each statistic:
 Both are read off one step rule per standard sequence (`_steps`), which
 returns its ten columns, one per vector: `_walk` freezes them as the
 record that `stat` renders, and the identity checker in `sweeps` reads
-them as they are.
+them as they are.  `_walk_literal` builds the same record from the
+literal definitions (`diag`, the addable cells, the residue orders and the
+rebuilt restrictions), as the oracle the step rule is tested against.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -37,6 +39,9 @@ from .ktableaux import (
     KTableau,
     StandardSequence,
     enumerate_k_tableaux,
+    highest_occurrence,
+    lowest_occurrence,
+    restrict_sequence,
     standard_sequences,
 )
 
@@ -284,6 +289,38 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     return SequenceReport(letters, seq.residues(), *map(tuple, _steps(seq, k + 1)))
 
 
+def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
+    """The record of `_walk` by the literal definitions, the oracle that
+    `_steps` is tested against; no command calls it.  Each letter's
+    restriction is rebuilt (`restrict_sequence`), and its addable cells and
+    residue orders are read off the rebuilt cell set, of which the record
+    keeps the pivots."""
+    letters, residues = tuple(e.letter for e in seq.entries), seq.residues()
+    low_at = [lowest_occurrence(seq, i) for i in letters]
+    high_at = [highest_occurrence(seq, i) for i in letters]
+    restricted = [restrict_sequence(seq, i) for i in letters]
+    L, M, I, J, d_prev_low, d_prev_high = [0], [0], [0], [0], [0], [0]
+    low_pivots, high_pivots = [None], [None]
+    for i in range(1, len(seq)):
+        cur, prev = low_at[i], low_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_low.append(d)
+        L.append(L[-1] + 1 + d if prev.row < cur.row else L[-1] - d)
+        cur, prev = high_at[i], high_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_high.append(d)
+        I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
+        low, high = low_order(restricted[i], k), high_order(restricted[i], k)
+        M.append(M[-1] + low.greater(residues[i], residues[i - 1]))
+        J.append(J[-1] + high.greater(residues[i], residues[i - 1]))
+        low_pivots.append(low.pivot)
+        high_pivots.append(high.pivot)
+    d_add_low = [diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)]
+    d_add_high = [diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)]
+    columns = (L, M, I, J, d_prev_low, d_prev_high, d_add_low, d_add_high, low_pivots, high_pivots)
+    return SequenceReport(letters, residues, *map(tuple, columns))
+
+
 def sequence_reports(tab: KTableau) -> list[SequenceReport]:
     """Per-sequence index vectors, residue-order pivots, and diag
     corrections: one `_walk` per standard sequence."""
@@ -395,15 +432,18 @@ def _shape_table(charges: Iterable[tuple[Partition, int]]) -> dict[Partition, TP
     return {shape: TPolynomial(counts[shape]) for shape in sorted(counts, key=partition_sort_key)}
 
 
-def _check_table_weight(weight: tuple[int, ...]) -> None:
-    """Raise unless the weight is a partition with positive parts, naming
-    the weight as given; both tables check it before they build anything.
-    A part below 1 is named first, wherever it stands, in the words of
+def _table_weight(weight: Sequence[int]) -> tuple[int, ...]:
+    """The weight as a tuple of ints, raising unless it is a partition with
+    positive integer parts; both tables take it from here before they build
+    anything.  Exact ints skip `_strict_int`, as in `Partition`.  A part
+    below 1 is named first, wherever it stands, in the words of
     `enumerate_k_tableaux` and the CLI."""
+    weight = tuple(a if type(a) is int else _strict_int(a, "weight part") for a in weight)
     if min(weight, default=1) < 1:
         raise ValueError(f"weight parts must be positive, got {weight}")
     if _partition_fault(weight):
         raise ValueError(f"weight {weight} is not a partition")
+    return weight
 
 
 def charge_table(
@@ -413,10 +453,8 @@ def charge_table(
     k-tableaux of the given weight, which must be a partition with
     positive integer parts."""
     _check_formulation(formulation)
-    # Exact ints skip `_strict_int`, as in `Partition`; the enumerator
-    # checks each part again.
-    weight = tuple(a if type(a) is int else _strict_int(a, "weight part") for a in weight)
-    _check_table_weight(weight)
+    # The enumerator checks each part again.
+    weight = _table_weight(weight)
     return _shape_table(
         (tab.shape, k_charge(tab, formulation)) for tab in enumerate_k_tableaux(k, weight)
     )
@@ -468,9 +506,8 @@ def classical_charge(rows: Sequence[Sequence[int]]) -> int:
     split into standard subwords whose charges are summed.
     """
     counts = _tableau_weight(rows)
-    for a, b in zip(counts, counts[1:]):
-        if a < b:
-            raise ValueError(f"weight {counts} is not a partition")
+    if _partition_fault(counts):
+        raise ValueError(f"weight {counts} is not a partition")
     word = [x for row in reversed(list(rows)) for x in row]
     total = 0
     while word:
@@ -515,8 +552,7 @@ def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     keyed by shape; shapes with no tableaux are omitted.  The weight must
     be a partition with positive integer parts, checked before any filling
     is built."""
-    weight = tuple(_strict_int(a, "weight part") for a in weight)
-    _check_table_weight(weight)
+    weight = _table_weight(weight)
     return _shape_table(
         (shape, classical_charge(rows))
         for shape in partitions(sum(weight))

@@ -266,6 +266,15 @@ def test_table_requires_k_or_classical():
         assert result.stdout == ""
 
 
+def test_table_takes_formulation_only_with_k():
+    # The classical table has one charge: --formulation must not be ignored.
+    for formulation in ("lp", "morse"):
+        result = run_cli("table", "--classical", "--formulation", formulation, "--weight", "2,1")
+        assert result.returncode == 2
+        assert result.stderr == "error: table takes --formulation only with --k\n"
+        assert result.stdout == ""
+
+
 def test_table_json():
     result = run_cli("table", "--k", "3", "--weight", "3,2,1", "--format", "json")
     payload = json.loads(result.stdout)

@@ -894,3 +894,14 @@ def test_random_tableaux_validate_and_index_as_a_literal_grouping(random_tableau
             for cells in fresh._letter_index().values()
             for c in cells
         )
+
+
+def test_every_letter_prefix_of_a_random_tableau_validates(random_tableaux):
+    # T restricted to letters <= r is a k-tableau of the weight's first r
+    # parts, which a failure's minimal failing prefix relies on.
+    prefixes = 0
+    for _, tab in random_tableaux:
+        for r in range(1, tab.n_letters + 1):
+            assert validate(tab.restrict_leq(r), tab.weight[:r]).ok, (to_text(tab), r)
+            prefixes += 1
+    assert prefixes == 4426

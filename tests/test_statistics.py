@@ -13,7 +13,6 @@ from kcharge.ktableaux import (
     KTableau,
     enumerate_k_tableaux,
     highest_occurrence,
-    lowest_occurrence,
     restrict_sequence,
     standard_sequences,
 )
@@ -394,52 +393,6 @@ def test_tpolynomial_rejects_non_integer_terms():
         TPolynomial.from_json_dict({"1": 2.9})
 
 
-def _literal_report(seq, k):
-    """The per-sequence record by the literal definitions: each letter's
-    restriction is rebuilt and its addable cells and residue orders are
-    read off the rebuilt cell set, of which the record keeps the pivots."""
-    m = len(seq)
-    low_at = [lowest_occurrence(seq, i) for i in range(1, m + 1)]
-    high_at = [highest_occurrence(seq, i) for i in range(1, m + 1)]
-    restricted = [restrict_sequence(seq, i) for i in range(1, m + 1)]
-    L, I, M, J = [0], [0], [0], [0]
-    d_prev_low, d_prev_high = [0], [0]
-    low_pivots, high_pivots = [None], [None]
-    for i in range(1, m):
-        cur, prev = low_at[i], low_at[i - 1]
-        d = diag(cur, prev, k)
-        d_prev_low.append(d)
-        L.append(L[-1] + 1 + d if prev.row < cur.row else L[-1] - d)
-        cur, prev = high_at[i], high_at[i - 1]
-        d = diag(cur, prev, k)
-        d_prev_high.append(d)
-        I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
-        res, prev_res = seq.entries[i].residue, seq.entries[i - 1].residue
-        low, high = low_order(restricted[i], k), high_order(restricted[i], k)
-        M.append(M[-1] + low.greater(res, prev_res))
-        J.append(J[-1] + high.greater(res, prev_res))
-        low_pivots.append(low.pivot)
-        high_pivots.append(high.pivot)
-    return SequenceReport(
-        letters=tuple(e.letter for e in seq.entries),
-        residues=tuple(e.residue for e in seq.entries),
-        L=tuple(L),
-        M=tuple(M),
-        I=tuple(I),
-        J=tuple(J),
-        diag_prev_low=tuple(d_prev_low),
-        diag_prev_high=tuple(d_prev_high),
-        diag_add_low=tuple(
-            diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)
-        ),
-        diag_add_high=tuple(
-            diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)
-        ),
-        low_pivots=tuple(low_pivots),
-        high_pivots=tuple(high_pivots),
-    )
-
-
 def test_sequence_reports_equal_literal_definitions():
     cases = [(4, (2, 2, 2, 1, 1))] + [
         (k, mu) for k in range(1, 5) for size in range(1, 8) for mu in partitions(size, max_part=k)
@@ -447,10 +400,21 @@ def test_sequence_reports_equal_literal_definitions():
     checked = 0
     for k, mu in cases:
         for tab in enumerate_k_tableaux(k, mu):
-            literal = [_literal_report(seq, k) for seq in standard_sequences(tab)]
+            literal = [statistics._walk_literal(seq, k) for seq in standard_sequences(tab)]
             assert sequence_reports(tab) == literal, tab
             checked += 1
     assert checked > 600
+
+
+def test_literal_walk_equals_the_step_rule_on_random_tableaux(random_tableaux):
+    # Beyond the exhaustive range of the test above: k up to 16 and up to
+    # 40 cells.
+    checked = 0
+    for k, tab in random_tableaux:
+        for seq in standard_sequences(tab):
+            assert statistics._walk_literal(seq, k) == statistics._walk(seq, k), tab
+            checked += 1
+    assert checked == 685
 
 
 def test_no_walk_builds_a_residue_order(monkeypatch, tab_semistandard_13):
