@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--k", type=_int_arg, required=True)
     p_enum.add_argument("--weight", required=True, help="comma-separated, e.g. 3,2,1")
     p_enum.add_argument("--shape", default=None, help="restrict to one shape")
-    p_enum.add_argument("--strategy", choices=("fast", "oracle"), default="fast")
     p_enum.set_defaults(run=cmd_enumerate)
     add_common(p_enum)
 
@@ -163,7 +162,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     weight = _parse_csv_ints(args.weight, "weight")
     shape = _parse_shape(args.shape) if args.shape else None
-    tableaux = enumerate_k_tableaux(args.k, weight, shape=shape, strategy=args.strategy)
+    tableaux = enumerate_k_tableaux(args.k, weight, shape=shape)
     if args.format == "json":
         payload = {
             "k": args.k,

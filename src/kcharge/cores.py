@@ -159,22 +159,14 @@ def _hook_lengths(shape: Partition) -> Iterator[tuple[int, int, int]]:
             yield i, j, (part - j) + (conj[j - 1] - i) + 1
 
 
-def cell_with_hook(shape: Partition, n: int) -> Cell | None:
-    """The first cell, bottom row first and left to right within a row,
-    whose hook length is exactly n; None if there is none."""
-    for i, j, hook in _hook_lengths(shape):
-        if hook == n:
-            return Cell(i, j)
-    return None
-
-
 @lru_cache(maxsize=4096)
 def _hook_facts(parts: tuple[int, ...], n: int) -> tuple[Cell | None, int]:
-    """(cell_with_hook(shape, n), k_bounded_hooks(shape, n - 1)) of the shape
-    with these parts, from one hook-length pass.  Shapes repeat across the
-    tableaux of a sweep (134 distinct (shape, n) among the 8,690 lookups of
-    `verify --max-k 5 --max-weight 7`, 331 among 117,660 at 6/9), so each
-    shape's pass is made once while it stays among the 4,096 most recent.
+    """(the first cell, bottom row first, whose hook length is n, or None;
+    the number of hooks below n) of the shape with these parts, from one
+    hook-length pass.  Shapes repeat across the tableaux of a sweep (134
+    distinct (shape, n) among the 8,690 lookups of `verify --max-k 5
+    --max-weight 7`, 331 among 117,660 at 6/9), so each shape's pass is
+    made once while it stays among the 4,096 most recent.
     The checked Partition is built only on a miss, so parts that are not a
     partition raise on every call, as exceptions are not cached."""
     first = None
@@ -191,7 +183,7 @@ def is_n_core(shape: Partition, n: int) -> bool:
     """True iff no cell of the shape has hook length exactly n."""
     if n < 2:
         raise ValueError(f"core modulus must be at least 2, got {n}")
-    return cell_with_hook(shape, n) is None
+    return _hook_facts(shape, n)[0] is None
 
 
 def residue(cell: Cell, n: int) -> int:
@@ -255,7 +247,7 @@ def k_bounded_hooks(shape: Partition, k: int) -> int:
     """Number of cells with hook length at most k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return sum(hook <= k for _, _, hook in _hook_lengths(shape))
+    return _hook_facts(shape, k + 1)[1]
 
 
 def n_stat(mu: Partition) -> int:

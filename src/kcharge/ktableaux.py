@@ -513,14 +513,13 @@ def _enumerate_fast(
     return found
 
 
-def _enumerate_oracle(
-    k: int, weight: Sequence[int], target: Partition | None
-) -> list[KTableau]:
+def _enumerate_oracle(k: int, weight: Sequence[int]) -> list[KTableau]:
+    """The tests' reference for `_enumerate_fast`: brute-forces all
+    fillings of all candidate core shapes and filters by `validate`.  No
+    command reaches it, and its order is not canonical."""
     n = k + 1
     m = sum(weight)
     shapes = [s for s in enumerate_cores(n, m) if k_bounded_hooks(s, k) == m]
-    if target is not None:
-        shapes = [s for s in shapes if s == target]
     found = []
     for shape in shapes:
         for rows in semistandard_fillings(shape, len(weight)):
@@ -531,25 +530,22 @@ def _enumerate_oracle(
 
 
 def enumerate_k_tableaux(
-    k: int,
-    weight: Sequence[int],
-    shape: Partition | None = None,
-    strategy: str = "fast",
+    k: int, weight: Sequence[int], shape: Partition | None = None
 ) -> list[KTableau]:
     """All k-tableaux of the given weight (and shape, if supplied).
 
     k must be a positive integer, and the weight any composition with
     parts between 1 and k; k and the parts must be integers (bools, floats
-    and strings raise ValueError), checked before anything is grown.
-    Output is in canonical order: by shape (size, then
+    and strings raise ValueError).  A shape must be a partition, checked
+    as `Partition` checks it; all three are checked before anything is
+    grown.  Output is in canonical order: by shape (size, then
     reverse-lexicographic), then by bottom-to-top left-to-right reading
     word.
 
-    Strategies: "fast" grows the tableau letter by letter, adding every
-    weak strip of the letter's size that the k-bounded Pieri rule allows,
-    built run by run from the addable residues (see `_weak_strips`);
-    "oracle" brute-forces all fillings of all candidate core shapes and
-    filters by `validate`.  Both return identical sets.
+    The tableau grows letter by letter, adding every weak strip of the
+    letter's size that the k-bounded Pieri rule allows, built run by run
+    from the addable residues (see `_weak_strips`).  The tests compare it
+    with the brute-force `_enumerate_oracle`.
     """
     k = _strict_int(k, "k")
     if k < 1:
@@ -559,12 +555,9 @@ def enumerate_k_tableaux(
         raise ValueError(f"weight parts must be positive, got {weight}")
     if any(a > k for a in weight):
         raise ValueError(f"weight {weight} has a part exceeding k={k}")
-    if strategy == "fast":
-        found = _enumerate_fast(k, weight, shape)
-    elif strategy == "oracle":
-        found = _enumerate_oracle(k, weight, shape)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if shape is not None:
+        shape = Partition(shape)
+    found = _enumerate_fast(k, weight, shape)
     # Tableaux of one shape have equal row lengths, so comparing the rows
     # orders them exactly as their bottom-to-top reading words.
     return sorted(found, key=lambda tab: (partition_sort_key(tab.shape), tab.rows))

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kcharge import cli
-from kcharge.ktableaux import enumerate_k_tableaux, parse_json, parse_text, to_json, to_text
+from kcharge.ktableaux import (
+    _enumerate_oracle,
+    enumerate_k_tableaux,
+    parse_json,
+    parse_text,
+    to_json,
+    to_text,
+)
 from kcharge.sweeps import SweepFailure, SweepReport
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
@@ -86,10 +93,22 @@ def test_enumerate_json_matches_text_count():
     assert len(payload["tableaux"]) == payload["count"]
 
 
-def test_enumerate_oracle_strategy_is_identical():
-    fast = run_cli("enumerate", "--k", "3", "--weight", "2,2,1")
-    oracle = run_cli("enumerate", "--k", "3", "--weight", "2,2,1", "--strategy", "oracle")
-    assert fast.stdout == oracle.stdout
+def test_enumerate_lists_the_oracle_tableaux(capsys):
+    assert cli.main(["enumerate", "--k", "3", "--weight", "2,2,1"]) == 0
+    *blocks, count = capsys.readouterr().out.split("\n\n")
+    listed = [parse_text(block) for block in blocks]
+    oracle = _enumerate_oracle(3, (2, 2, 1))
+    assert len(set(listed)) == len(listed) == len(oracle)
+    assert set(listed) == set(oracle)
+    assert count == f"count: {len(oracle)}\n"
+
+
+def test_enumerate_has_no_strategy_option(capsys):
+    argv = ["enumerate", "--k", "3", "--weight", "2,2,1", "--strategy", "oracle"]
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --strategy oracle" in err
 
 
 def test_enumerate_rejects_oversized_weight_part():

@@ -8,7 +8,6 @@ from kcharge.cores import (
     Partition,
     _hook_facts,
     add_residue_class,
-    cell_with_hook,
     addable_corners,
     enumerate_cores,
     hook_length,
@@ -269,14 +268,20 @@ def test_k_bounded_hooks_counts_hooks_of_cores(n):
 
 
 def test_hook_facts_equal_the_public_hook_functions():
-    # One pass gives what cell_with_hook and k_bounded_hooks give apart,
-    # the same from a cold cache, a warm one, and a plain tuple key.
-    _hook_facts.cache_clear()
+    # One pass gives what a scan of each cell's hook_length gives: the
+    # first cell, bottom row first, whose hook is n, and the number of
+    # hooks below n; the same from a cold cache, a warm one, and a plain
+    # tuple key.
     shapes = list(all_partitions_up_to(10))
+    hooks = {
+        shape: [(cell, hook_length(shape, cell)) for cell in shape.cells()] for shape in shapes
+    }
+    _hook_facts.cache_clear()
     for warm in (False, True):
         for shape in shapes:
             for n in range(2, 8):
-                expected = (cell_with_hook(shape, n), k_bounded_hooks(shape, n - 1))
+                first = next((cell for cell, hook in hooks[shape] if hook == n), None)
+                expected = (first, sum(hook < n for _, hook in hooks[shape]))
                 assert _hook_facts(shape, n) == expected
                 assert _hook_facts(tuple(shape), n) == expected
     assert _hook_facts.cache_info().misses == len(shapes) * 6

@@ -1,4 +1,5 @@
 import gc
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -21,6 +22,7 @@ from kcharge.ktableaux import (
     SequenceEntry,
     ValidationReport,
     _cell_row,
+    _enumerate_oracle,
     _weak_strips,
     enumerate_k_tableaux,
     highest_occurrence,
@@ -200,8 +202,8 @@ def test_enumerate_rejects_bad_weight():
         enumerate_k_tableaux(2, (3,))
     with pytest.raises(ValueError):
         enumerate_k_tableaux(2, (0,))
-    with pytest.raises(ValueError):
-        enumerate_k_tableaux(2, (1,), strategy="magic")
+    with pytest.raises(TypeError):
+        enumerate_k_tableaux(2, (1,), strategy="oracle")
 
 
 @pytest.mark.parametrize("weight", [(2.5, 1), ("2", "1"), (True,)])
@@ -225,6 +227,28 @@ def test_enumerate_checks_k_before_growing(k, weight, shape):
         enumerate_k_tableaux(k, weight, shape=shape)
 
 
+@pytest.mark.parametrize(
+    "shape,error",
+    [
+        ((2, 2), None),
+        ([2, 2], None),
+        ((2.0, 2.0), "partition part must be an integer, got 2.0"),
+        ((True, True), "partition part must be an integer, got True"),
+        ("31", "partition part must be an integer, got '3'"),
+        ((1, 3), "parts must be weakly decreasing"),
+        ((2, 0), "parts must be positive"),
+    ],
+)
+def test_enumerate_checks_shape_as_a_partition(shape, error):
+    # A list is taken as a tuple; anything Partition refuses raises its
+    # ValueError instead of matching no shape.
+    if error is None:
+        assert enumerate_k_tableaux(3, (2, 1, 1), shape=shape) == [KTableau(3, [[1, 1], [2, 3]])]
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            enumerate_k_tableaux(3, (2, 1, 1), shape=shape)
+
+
 def test_enumerate_accepts_partition_weight():
     assert enumerate_k_tableaux(3, Partition([2, 1])) == enumerate_k_tableaux(3, (2, 1))
 
@@ -235,19 +259,37 @@ def test_enumerate_with_shape_filter():
     assert tabs[0].shape == Partition([6, 3])
 
 
+def assert_same_tableaux(fast, oracle):
+    """The same tableaux, none twice; the order is checked by
+    `test_enumeration_is_canonically_ordered`."""
+    assert len(set(fast)) == len(fast) == len(oracle)
+    assert set(fast) == set(oracle)
+
+
 def test_enumerate_accepts_composition_weight():
     fast = enumerate_k_tableaux(2, (1, 2))
-    oracle = enumerate_k_tableaux(2, (1, 2), strategy="oracle")
-    assert fast == oracle
+    assert_same_tableaux(fast, _enumerate_oracle(2, (1, 2)))
     assert all(t.weight == (1, 2) for t in fast)
 
 
 @pytest.mark.parametrize(
     "k,weight",
-    [(2, (1, 1, 1, 1)), (3, (2, 2, 1)), (3, (3, 2)), (4, (2, 2)), (3, (1, 1, 1, 1, 1))],
+    [
+        (2, (1, 1, 1, 1)),
+        (3, (2, 2, 1)),
+        (3, (3, 2)),
+        (4, (2, 2)),
+        (3, (1, 1, 1, 1, 1)),
+        # Larger weights at k=5 and k=7, about 0.5 s in all.
+        (5, (2, 2, 1, 1, 1)),
+        (5, (3, 2, 2, 1)),
+        (5, (2, 2, 2, 1, 1)),
+        (5, (4, 3, 1)),
+        (7, (5, 4, 3)),
+    ],
 )
 def test_fast_equals_oracle(k, weight):
-    assert enumerate_k_tableaux(k, weight) == enumerate_k_tableaux(k, weight, strategy="oracle")
+    assert_same_tableaux(enumerate_k_tableaux(k, weight), _enumerate_oracle(k, weight))
 
 
 def test_enumerated_tableaux_equal_the_checked_construction():
@@ -262,9 +304,9 @@ def test_enumerated_tableaux_equal_the_checked_construction():
 
 
 def test_enumeration_is_canonically_ordered():
-    # Both strategies share the final sort, so the fast-vs-oracle checks
-    # cannot see an ordering fault; here the order is compared with the
-    # literal key on every (k, weight) of the 5/8 sweep.
+    # The fast-vs-oracle checks compare sets, so they cannot see an
+    # ordering fault; here the order is compared with the literal key on
+    # every (k, weight) of the 5/8 sweep.
     tableaux = 0
     for k, mu in weights_up_to(5, 8):
         tabs = enumerate_k_tableaux(k, mu)
@@ -727,7 +769,7 @@ def test_oracle_with_a_shape_equals_fast():
     shape = Partition((3,))
     fast = enumerate_k_tableaux(3, (2, 1), shape=shape)
     assert fast == [KTableau(3, [[1, 1, 2]])]
-    assert enumerate_k_tableaux(3, (2, 1), shape=shape, strategy="oracle") == fast
+    assert_same_tableaux(fast, [t for t in _enumerate_oracle(3, (2, 1)) if t.shape == shape])
 
 
 def test_standard_sequences_use_every_residue_class():
