@@ -141,8 +141,9 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition._trusted((first,) + rest)
 
 
-def hook_length(shape: Partition, cell: Cell) -> int:
+def hook_length(shape: Iterable[int], cell: Cell) -> int:
     """Arm + leg + 1 of a cell inside the diagram."""
+    shape = Partition(shape)
     if not shape.contains(cell):
         raise ValueError(f"cell {tuple(cell)} outside shape {shape}")
     arm = shape[cell.row - 1] - cell.col
@@ -179,11 +180,11 @@ def _hook_facts(parts: tuple[int, ...], n: int) -> tuple[Cell | None, int]:
     return first, bounded
 
 
-def is_n_core(shape: Partition, n: int) -> bool:
+def is_n_core(shape: Iterable[int], n: int) -> bool:
     """True iff no cell of the shape has hook length exactly n."""
     if n < 2:
         raise ValueError(f"core modulus must be at least 2, got {n}")
-    return _hook_facts(shape, n)[0] is None
+    return _hook_facts(Partition(shape), n)[0] is None
 
 
 def residue(cell: Cell, n: int) -> int:
@@ -236,18 +237,18 @@ def removable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
     return [(c, residue(c, n)) for c in corners]
 
 
-def k_interior(shape: Partition, k: int) -> frozenset[Cell]:
+def k_interior(shape: Iterable[int], k: int) -> frozenset[Cell]:
     """Cells with hook length exceeding k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return frozenset(Cell(i, j) for i, j, hook in _hook_lengths(shape) if hook > k)
+    return frozenset(Cell(i, j) for i, j, hook in _hook_lengths(Partition(shape)) if hook > k)
 
 
-def k_bounded_hooks(shape: Partition, k: int) -> int:
+def k_bounded_hooks(shape: Iterable[int], k: int) -> int:
     """Number of cells with hook length at most k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _hook_facts(shape, k + 1)[1]
+    return _hook_facts(Partition(shape), k + 1)[1]
 
 
 def n_stat(mu: Partition) -> int:

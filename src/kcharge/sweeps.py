@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from typing import NamedTuple
 
 from .cores import Cell, Partition, _hook_facts, n_stat, partitions
 from .ktableaux import (
@@ -78,26 +78,59 @@ def _weight_facts(
     )
 
 
+class Identity(NamedTuple):
+    name: str  # as FAIL output prints it
+    per: str  # what it is checked once for
+    position: int  # where a tableau's failures of it are reported
+
+
+# A sweep validates each enumerated tableau before its other identities.
+VALIDATES = Identity("enumerated tableau validates", "tableau", -1)
+# Every identity `check_tableau_identities` checks, in failure order.  A
+# tableau's failures are sorted by position, stably: the two diagonal rules
+# share one, so theirs stay letter by letter.  `identities checked` counts
+# each identity once per unit of what it is checked for.
+IDENTITIES = (
+    COCHARGE_AGREE := Identity("cocharge formulations agree", "tableau", 0),
+    CHARGE_AGREE := Identity("charge formulations agree", "tableau", 1),
+    DUALITY := Identity("charge + cocharge = n(weight) - interior", "tableau", 2),
+    LP_CHARGE := Identity("lp charge is non-negative", "tableau", 3),
+    LP_COCHARGE := Identity("lp cocharge is non-negative", "tableau", 4),
+    LP_ENTRIES := Identity("lp non-negative entry by entry", "standard sequence", 5),
+    CORE := Identity("restriction is a core", "letter", 6),
+    PARTITION := Identity("sequences partition the cells", "tableau", 7),
+    ENTRY := Identity("entry occupies one residue, distinct rows and columns", "entry", 8),
+    LETTER_1 := Identity("letter 1 fills the bottom row start", "tableau", 9),
+    STANDARD_DUALITY := Identity("standard duality with explicit constant", "standard tableau", 10),
+    FILLING := Identity("diagonal filling between extremes", "standard letter", 11),
+    MEETING := Identity("diagonal count through the restriction", "standard letter", 11),
+    LARGE_K := Identity("large k degenerates to a classical tableau", "large-k tableau", 12),
+    CLASSICAL := Identity("large-k charge matches the classical statistic", "large-k tableau", 13),
+)
+_PERS = tuple(identity.per for identity in IDENTITIES)
+
+
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
-    """Run every statistics-module identity on one tableau.
+    """Run every identity of `IDENTITIES` on one tableau.
 
-    Returns (number of identities checked, failures).  The facts are read
-    in fused passes.  Each standard sequence is read as `_walk` reads it:
-    `statistics._steps` returns its ten columns, which give the four
-    totals, each sequence's terms and the diagonal vectors.  The letter
-    pass, over letters 1..n_letters, gives each restriction's shape, each
-    letter's cell count and, on a standard tableau, both diagonal rules.
-    The entry pass, over the entries of the standard sequences, gives the
-    partition of the cells and each entry's residue, rows and columns.  The
-    large-k identity reads the classical charge and cocharge from one
-    classical charge computation.
+    Returns (number of identities checked, failures in `IDENTITIES` order).
+    The facts are read in fused passes.  Each standard sequence is read as
+    `_walk` reads it: `statistics._steps` returns its ten columns, which
+    give the four totals, each sequence's L and I entries and the diagonal
+    vectors.  The letter pass, over letters 1..n_letters, gives each
+    restriction's shape, each letter's cell count and, on a standard
+    tableau, both diagonal rules.  The entry pass, over the entries of the
+    standard sequences, gives the partition of the cells and each entry's
+    residue, rows and columns.  The large-k identity reads the classical
+    charge and cocharge from one classical charge computation.
 
-    Failures are reported in a fixed order, whichever pass found them: the
-    totals, the terms of each sequence, the restrictions by letter, the
-    partition of the cells, the entries, letter 1, the standard duality and
-    then its two rules letter by letter, and last the two large-k
-    identities.  Each failure's detail text is rendered only when that
-    identity fails.
+    The sign identities read `lp`, the formulation that is not manifestly
+    non-negative.  That its totals are non-negative is the theorem; that
+    each L and I entry is, is only measured (no negative entry among the
+    111,468 standard sequences of `verify --max-k 7 --max-weight 10`).
+
+    A failing check records its identity and its detail, rendered only in
+    the failing branch; the failures are put in order at the end.
     """
     k = tab.k
     n = k + 1
@@ -105,14 +138,14 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     # `standard_sequences` raises unless the weight is a partition.
     mu, n_weight, standard, m, letter1_expected = _weight_facts(tab.weight)
     lam = tab.shape
-    checked = 0
-    failures: list[SweepFailure] = []
+    # (identity, detail) of each failure, in the order the passes find them.
+    found: list[tuple[Identity, str]] = []
 
-    def fail(identity: str, detail: str) -> None:
-        failures.append(SweepFailure(identity, detail, to_text(tab)))
+    def fail(identity: Identity, detail: str) -> None:
+        found.append((identity, detail))
 
     cocharge_lp = charge_lp = cocharge_morse = charge_morse = 0
-    # Per sequence, the columns that the morse terms are read from.
+    # Per sequence, the lp columns and the diagonal corrections.
     walks = []
     for seq in seqs:
         L, M, I, J, _, _, add_low, add_high, _, _ = _steps(seq, n)
@@ -120,37 +153,23 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         charge_lp += sum(I)
         cocharge_morse += sum(M) + sum(add_low)
         charge_morse += sum(J) + sum(add_high)
-        walks.append((M, J, add_low, add_high))
+        walks.append((L, I, add_low, add_high))
     # The k-interior's size; its cells are never read.
     interior = lam.size() - _hook_facts(lam, n)[1]
 
-    # Each identity is counted, then tested; its detail is rendered only in
-    # the failing branch.
-    checked += 1
     if cocharge_lp != cocharge_morse:
-        fail("cocharge formulations agree", f"lp={cocharge_lp} morse={cocharge_morse}")
-    checked += 1
+        fail(COCHARGE_AGREE, f"lp={cocharge_lp} morse={cocharge_morse}")
     if charge_lp != charge_morse:
-        fail("charge formulations agree", f"lp={charge_lp} morse={charge_morse}")
-    checked += 1
+        fail(CHARGE_AGREE, f"lp={charge_lp} morse={charge_morse}")
     if charge_morse + cocharge_morse != n_weight - interior:
-        fail(
-            "charge + cocharge = n(weight) - interior",
-            f"{charge_morse} + {cocharge_morse} != {n_weight} - {interior}",
-        )
-    checked += 1
-    if charge_morse < 0:
-        fail("charge is non-negative", f"charge={charge_morse}")
-    checked += 1
-    if cocharge_morse < 0:
-        fail("cocharge is non-negative", f"cocharge={cocharge_morse}")
-    for M, J, add_low, add_high in walks:
-        checked += 1
-        if min(map(add, M, add_low)) < 0 or min(map(add, J, add_high)) < 0:
-            fail(
-                "non-negative term by term",
-                f"terms {list(map(add, M, add_low))} / {list(map(add, J, add_high))}",
-            )
+        fail(DUALITY, f"{charge_morse} + {cocharge_morse} != {n_weight} - {interior}")
+    if charge_lp < 0:
+        fail(LP_CHARGE, f"charge={charge_lp}")
+    if cocharge_lp < 0:
+        fail(LP_COCHARGE, f"cocharge={cocharge_lp}")
+    for L, I, _, _ in walks:
+        if min(L) < 0 or min(I) < 0:
+            fail(LP_ENTRIES, f"L {L} / I {I}")
 
     # The letter pass.  The restriction to letters <= i keeps each row's
     # count of them.  On a standard tableau each letter spans one residue,
@@ -165,8 +184,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     by_letter = tab._letter_index()
     row_counts = [0] * len(tab.rows)
     sizes = []
-    # (identity, detail) of each failing diagonal rule, letter by letter.
-    rule_failures = []
     for i in range(1, tab.n_letters + 1):
         cells = by_letter.get(i, ())
         sizes.append(len(cells))
@@ -174,7 +191,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
             row_counts[row - 1] += 1
         counts = tuple(filter(None, row_counts))
         if _hook_facts(counts, n)[0] is not None:
-            fail("restriction is a core", f"restriction to {i} has shape {Partition(counts)}")
+            fail(CORE, f"restriction to {i} has shape {Partition(counts)}")
         if standard:
             up_row, up_col = cells[-1]
             res = (up_col - up_row) % n
@@ -192,27 +209,16 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                 lo, hi = sorted((up_col - up_row, down_col - down_row))
                 between = range(lo + n, hi, n)
                 if not letter_diags.issuperset(between):
-                    rule_failures.append(
-                        (
-                            "diagonal filling between extremes",
-                            f"letter {i} misses a residue-{res} diagonal in {list(between)}",
-                        )
-                    )
+                    fail(FILLING, f"letter {i} misses a residue-{res} diagonal in {list(between)}")
             count = len(cells) + d_high[i - 1] + d_low[i - 1]
             if count != len(met):
-                rule_failures.append(
-                    (
-                        "diagonal count through the restriction",
-                        f"letter {i}: {count} != {len(met)}",
-                    )
-                )
-    checked += len(sizes)
+                fail(MEETING, f"letter {i}: {count} != {len(met)}")
 
     # The entry pass.
     seen: set[Cell] = set()
-    covered = 0
-    bad_entries = []
+    covered = entries = 0
     for seq in seqs:
+        entries += len(seq.entries)
         for letter, _, cells in seq.entries:
             seen |= cells
             covered += len(cells)
@@ -224,51 +230,42 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                     and len(set(rows)) == len(rows)
                     and len(set(cols)) == len(cols)
                 ):
-                    bad_entries.append(f"letter {letter} cells {sorted(cells)}")
-        checked += len(seq.entries)
-    checked += 1
+                    fail(ENTRY, f"letter {letter} cells {sorted(cells)}")
     if not covered == len(seen) == lam.size():
-        fail(
-            "sequences partition the cells",
-            f"{covered} cells over sequences vs {lam.size()} in shape",
-        )
-    for detail in bad_entries:
-        fail("entry occupies one residue, distinct rows and columns", detail)
+        fail(PARTITION, f"{covered} cells over sequences vs {lam.size()} in shape")
 
     letter1 = by_letter.get(1, ())
     # The letter index lists cells bottom row first, left to right.
-    checked += 1
     if letter1 != letter1_expected:
-        fail("letter 1 fills the bottom row start", f"letter-1 cells {sorted(letter1)}")
+        fail(LETTER_1, f"letter-1 cells {sorted(letter1)}")
 
-    if standard:
-        checked += 1
-        if charge_morse != m * (m - 1) // 2 - interior - cocharge_morse:
-            fail(
-                "standard duality with explicit constant",
-                f"{charge_morse} != {m}*{m - 1}/2 - {interior} - {cocharge_morse}",
-            )
-        checked += 2 * m
-        for identity, detail in rule_failures:
-            fail(identity, detail)
+    if standard and charge_morse != m * (m - 1) // 2 - interior - cocharge_morse:
+        fail(STANDARD_DUALITY, f"{charge_morse} != {m}*{m - 1}/2 - {interior} - {cocharge_morse}")
 
-    if k > (lam[0] if lam else 0) + len(lam) - 2:
+    large = k > (lam[0] if lam else 0) + len(lam) - 2
+    if large:
         counts = tuple(sizes)
-        checked += 1
         if counts != tuple(mu):
-            fail(
-                "large k degenerates to a classical tableau",
-                f"cell counts {counts} vs weight {tuple(mu)}",
-            )
+            fail(LARGE_K, f"cell counts {counts} vs weight {tuple(mu)}")
         classical = _classical_statistics(tab.rows)
-        checked += 1
         if (charge_morse, cocharge_morse) != classical:
-            fail(
-                "large-k charge matches the classical statistic",
-                f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}",
-            )
+            fail(CLASSICAL, f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}")
 
-    return checked, failures
+    units = {
+        "tableau": 1,
+        "standard sequence": len(seqs),
+        "letter": len(sizes),
+        "entry": entries,
+        "standard tableau": standard,
+        "standard letter": m if standard else 0,
+        "large-k tableau": large,
+    }
+    checked = sum(map(units.__getitem__, _PERS))
+    if not found:
+        return checked, []
+    found.sort(key=lambda failure: failure[0].position)
+    context = to_text(tab)
+    return checked, [SweepFailure(identity.name, detail, context) for identity, detail in found]
 
 
 def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
@@ -283,9 +280,7 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
         ok = validate(tab, weight)
         report.identities_checked += 1
         if not ok:
-            report.failures.append(
-                SweepFailure("enumerated tableau validates", ok.problem or "", to_text(tab))
-            )
+            report.failures.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
         checked, failures = check_tableau_identities(tab)
         report.subjects_checked += 1
         report.identities_checked += checked

@@ -1,7 +1,8 @@
 import pytest
 
 from kcharge import statistics
-from kcharge.cores import Partition, n_stat, partitions
+from kcharge.cores import Cell, Partition, hook_length, n_stat, partitions
+from kcharge.ktableaux import enumerate_k_tableaux, standard_sequences, to_text
 from kcharge.statistics import (
     TPolynomial,
     charge_table,
@@ -10,6 +11,7 @@ from kcharge.statistics import (
     enumerate_ssyt,
     kostka_foulkes_table,
 )
+from kcharge.sweeps import weights_up_to
 
 
 def dominates(lam, mu):
@@ -237,3 +239,78 @@ def test_kostka_numbers_match_enumeration():
 @pytest.mark.parametrize("mu", [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1, 1)])
 def test_large_k_degeneration_small(mu):
     assert charge_table(sum(mu), mu) == kostka_foulkes_table(mu)
+
+
+def _hook_formula(shape):
+    """t^n(shape') (1-t)(1-t^2)...(1-t^n) / prod over the cells of
+    (1 - t^hook), n = |shape|, with each division exact (Macdonald, Ch.
+    III): the charge generating polynomial of the standard tableaux of
+    shape."""
+    n = shape.size()
+    coeffs = [1]
+    for i in range(1, n + 1):
+        coeffs = [a - (coeffs[j - i] if j >= i else 0) for j, a in enumerate(coeffs + [0] * i)]
+    for cell in shape.cells():
+        h = hook_length(shape, cell)
+        # The quotient q of coeffs by 1 - t^h has q_j = coeffs_j + q_(j-h).
+        for j in range(h, len(coeffs)):
+            coeffs[j] += coeffs[j - h]
+        assert not any(coeffs[len(coeffs) - h :]), (shape, h)
+        del coeffs[len(coeffs) - h :]
+    shift = n_stat(shape.conjugate())
+    return TPolynomial({shift + e: c for e, c in enumerate(coeffs)})
+
+
+def test_standard_weight_table_is_the_hook_formula():
+    # Independent of classical_charge, which both the table and the
+    # large-k identity of verify rest on.
+    shapes = 0
+    for n in range(1, 9):
+        table = kostka_foulkes_table((1,) * n)
+        assert list(table) == list(partitions(n))
+        for shape, poly in table.items():
+            assert poly == _hook_formula(shape), shape
+            shapes += 1
+    assert shapes == 66
+
+
+def _classical_subwords(rows):
+    """The cells of the classical standard subwords of the reading word of
+    rows (bottom-first), as `classical_charge` extracts them: per subword,
+    the cell of each letter 1, 2, ... in turn."""
+    cells = [Cell(i, j) for i in range(len(rows), 0, -1) for j in range(1, len(rows[i - 1]) + 1)]
+    word = [x for row in reversed(rows) for x in row]
+    subwords = []
+    while word:
+        chosen = statistics._standard_subword(word, max(word))
+        subwords.append([cells[p] for p in chosen])
+        keep = set(chosen)
+        word = [x for p, x in enumerate(word) if p not in keep]
+        cells = [c for p, c in enumerate(cells) if p not in keep]
+    return subwords
+
+
+def _large_k(tab):
+    return tab.k > tab.shape[0] + len(tab.shape) - 2
+
+
+def _assert_extraction_is_classical(tab):
+    sequences = [[set(cells) for _, _, cells in seq.entries] for seq in standard_sequences(tab)]
+    classical = [[{cell} for cell in cells] for cells in _classical_subwords(tab.rows)]
+    assert sequences == classical, to_text(tab)
+
+
+def test_large_k_standard_sequences_are_the_classical_subwords(random_tableaux):
+    # At large k every residue class is one cell, and the standard
+    # sequences are the Lascoux-Schutzenberger extraction of the reading word.
+    tableaux = [
+        tab
+        for k, mu in weights_up_to(6, 9)
+        for tab in enumerate_k_tableaux(k, mu)
+        if _large_k(tab)
+    ]
+    assert len(tableaux) == 3812
+    fixture = [tab for _, tab in random_tableaux if _large_k(tab)]
+    assert len(fixture) >= 30
+    for tab in tableaux + fixture:
+        _assert_extraction_is_classical(tab)

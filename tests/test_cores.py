@@ -287,6 +287,27 @@ def test_hook_facts_equal_the_public_hook_functions():
     assert _hook_facts.cache_info().misses == len(shapes) * 6
 
 
+@pytest.mark.parametrize(
+    "hook_function",
+    [
+        lambda shape: hook_length(shape, Cell(1, 1)),
+        lambda shape: is_n_core(shape, 3),
+        lambda shape: k_interior(shape, 2),
+        lambda shape: k_bounded_hooks(shape, 2),
+    ],
+    ids=["hook_length", "is_n_core", "k_interior", "k_bounded_hooks"],
+)
+def test_hook_functions_read_any_partition_like_shape(hook_function):
+    # A list or a tuple answers as the Partition does; a non-partition
+    # raises Partition's own error.
+    for parts in ((2, 1), (3, 1, 1), (4, 2, 2, 1)):
+        expected = hook_function(Partition(parts))
+        assert hook_function(parts) == hook_function(list(parts)) == expected
+    for parts, fault in (((1, 3), "weakly decreasing"), ([2, 0], "positive")):
+        with pytest.raises(ValueError, match=f"parts must be {fault}, got"):
+            hook_function(parts)
+
+
 def test_hook_facts_raise_for_a_non_partition_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="weakly decreasing"):

@@ -614,6 +614,25 @@ def test_failure_details_are_pinned(k, rows, expected):
     assert all(f.context == ktableaux.to_text(tab) for f in failures)
 
 
+def test_lp_sign_identities_fail_on_a_negative_l_entry():
+    # Not a k-tableau: letter 1 spans two cells.  The step rule gives
+    # L = [0, -1, -1] and I = [0, 1, 1], so the lp cocharge is -2; the morse
+    # vectors are non-negative by construction and cannot show it.
+    tab = KTableau(1, [[1, 3, 1, 2]])
+    (seq,) = standard_sequences(tab)
+    assert statistics._walk(seq, tab.k).L == (0, -1, -1)
+    checked, failures = sweeps.check_tableau_identities(tab)
+    assert checked == _identity_count(tab)
+    assert [(f.identity, f.detail) for f in failures][:5] == [
+        ("cocharge formulations agree", "lp=-2 morse=2"),
+        ("charge formulations agree", "lp=2 morse=4"),
+        ("charge + cocharge = n(weight) - interior", "4 + 2 != 3 - 3"),
+        ("lp cocharge is non-negative", "cocharge=-2"),
+        ("lp non-negative entry by entry", "L [0, -1, -1] / I [0, 1, 1]"),
+    ]
+    assert "lp charge is non-negative" not in {f.identity for f in failures}
+
+
 def test_passing_tableau_renders_no_detail(monkeypatch, tab_standard_9):
     def refuse(self):
         raise AssertionError("detail rendered for a passing identity")
@@ -663,7 +682,7 @@ def _identity_count(tab):
     large = tab.k > (lam[0] if lam else 0) + len(lam) - 2
     return (
         5  # the totals
-        + len(seqs)  # non-negative term by term
+        + len(seqs)  # lp non-negative entry by entry
         + tab.n_letters  # restriction is a core
         + 1  # sequences partition the cells
         + sum(len(seq) for seq in seqs)  # one residue per entry
