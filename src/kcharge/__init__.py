@@ -10,16 +10,11 @@ large k.
 from .cores import (
     Cell,
     Partition,
-    addable_corners,
     enumerate_cores,
-    hook_length,
-    is_n_core,
     k_bounded_hooks,
-    k_interior,
     n_stat,
     parse_partition,
     partitions,
-    removable_corners,
     residue,
 )
 from .ktableaux import (
@@ -63,7 +58,6 @@ __all__ = [
     "StandardSequence",
     "TPolynomial",
     "ValidationReport",
-    "addable_corners",
     "charge_table",
     "classical_charge",
     "classical_cocharge",
@@ -74,12 +68,9 @@ __all__ = [
     "high_order",
     "highest_addable",
     "highest_occurrence",
-    "hook_length",
-    "is_n_core",
     "k_bounded_hooks",
     "k_charge",
     "k_cocharge",
-    "k_interior",
     "kostka_foulkes_table",
     "low_order",
     "lowest_addable",
@@ -89,7 +80,6 @@ __all__ = [
     "parse_partition",
     "parse_text",
     "partitions",
-    "removable_corners",
     "residue",
     "restrict_sequence",
     "sequence_reports",

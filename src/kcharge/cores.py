@@ -141,54 +141,34 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition._trusted((first,) + rest)
 
 
-def hook_length(shape: Iterable[int], cell: Cell) -> int:
-    """Arm + leg + 1 of a cell inside the diagram."""
-    shape = Partition(shape)
-    if not shape.contains(cell):
-        raise ValueError(f"cell {tuple(cell)} outside shape {shape}")
-    arm = shape[cell.row - 1] - cell.col
-    leg = shape.conjugate()[cell.col - 1] - cell.row
-    return arm + leg + 1
-
-
-def _hook_lengths(shape: Partition) -> Iterator[tuple[int, int, int]]:
-    """(row, col, arm + leg + 1) of every cell, bottom row first and left
-    to right within a row; the one hook-length loop of the module."""
-    conj = shape.conjugate()
-    for i, part in enumerate(shape, start=1):
-        for j in range(1, part + 1):
-            yield i, j, (part - j) + (conj[j - 1] - i) + 1
-
-
 @lru_cache(maxsize=4096)
 def _hook_facts(parts: tuple[int, ...], n: int) -> tuple[Cell | None, int]:
     """(the first cell, bottom row first, whose hook length is n, or None;
     the number of hooks below n) of the shape with these parts, from one
-    hook-length pass.  Shapes repeat across the tableaux of a sweep (134
-    distinct (shape, n) among the 8,690 lookups of `verify --max-k 5
-    --max-weight 7`, 331 among 117,660 at 6/9), so each shape's pass is
-    made once while it stays among the 4,096 most recent.
+    pass over the cells' hook lengths, arm + leg + 1.  Shapes repeat
+    across the tableaux of a sweep (134 distinct (shape, n) among the 8,690
+    lookups of `verify --max-k 5 --max-weight 7`, 331 among 117,660 at
+    6/9), so each shape's pass is made once while it stays among the 4,096
+    most recent.
     The checked Partition is built only on a miss, so parts that are not a
     partition raise on every call, as exceptions are not cached."""
+    shape = Partition(parts)
+    conj = shape.conjugate()
     first = None
     bounded = 0
-    for i, j, hook in _hook_lengths(Partition(parts)):
-        if hook < n:
-            bounded += 1
-        elif hook == n and first is None:
-            first = Cell(i, j)
+    for i, part in enumerate(shape, start=1):
+        for j in range(1, part + 1):
+            hook = (part - j) + (conj[j - 1] - i) + 1
+            if hook < n:
+                bounded += 1
+            elif hook == n and first is None:
+                first = Cell(i, j)
     return first, bounded
-
-
-def is_n_core(shape: Iterable[int], n: int) -> bool:
-    """True iff no cell of the shape has hook length exactly n."""
-    if n < 2:
-        raise ValueError(f"core modulus must be at least 2, got {n}")
-    return _hook_facts(Partition(shape), n)[0] is None
 
 
 def residue(cell: Cell, n: int) -> int:
     """(col - row) mod n; constant along diagonals, 0 on the main diagonal."""
+    n = _strict_int(n, "residue modulus")
     if n < 2:
         raise ValueError(f"residue modulus must be at least 2, got {n}")
     return (cell.col - cell.row) % n
@@ -213,39 +193,9 @@ def _corner_residues(parts: Sequence[int], n: int) -> Iterator[int | None]:
     yield -len(parts) % n
 
 
-def addable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
-    """Cells just outside the diagram whose addition leaves a partition.
-
-    Row 0 and column 0 are treated as filled, so (1, shape[0]+1) and
-    (len(shape)+1, 1) are always addable.  Returned in ascending row
-    order, each with its n-residue.
-    """
-    padded = tuple(shape) + (0,)
-    return [
-        (Cell(i + 1, padded[i] + 1), r)
-        for i, r in enumerate(_corner_residues(shape, n))
-        if r is not None
-    ]
-
-
-def removable_corners(shape: Partition, n: int) -> list[tuple[Cell, int]]:
-    """Cells of the diagram whose removal leaves a partition, with residues."""
-    corners: list[Cell] = []
-    for i, part in enumerate(shape, start=1):
-        if i == len(shape) or shape[i] < part:
-            corners.append(Cell(i, part))
-    return [(c, residue(c, n)) for c in corners]
-
-
-def k_interior(shape: Iterable[int], k: int) -> frozenset[Cell]:
-    """Cells with hook length exceeding k."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return frozenset(Cell(i, j) for i, j, hook in _hook_lengths(Partition(shape)) if hook > k)
-
-
 def k_bounded_hooks(shape: Iterable[int], k: int) -> int:
     """Number of cells with hook length at most k."""
+    k = _strict_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return _hook_facts(Partition(shape), k + 1)[1]

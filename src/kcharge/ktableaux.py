@@ -75,7 +75,7 @@ class KTableau:
     Two indexes are built together, in one pass over the rows, on first
     use of either, and then shared by every reader: letter -> cells
     (`cells_of`), and for each letter present the map residue -> that
-    letter's cells of the residue (read by `residues_of`, `validate` and
+    letter's cells of the residue (read by `validate` and
     `standard_sequences`).  Both have one key per letter present, so a
     huge letter costs no more than a small one.  The index entries are
     the `Cell`s and one-cell classes of `_cell_row`, shared by every
@@ -214,26 +214,12 @@ class KTableau:
             return tuple([len(index.get(x, ())) for x in range(1, max(index) + 1)])
         return self._weight
 
-    def letter(self, cell: Cell) -> int:
-        if not self.shape.contains(cell):
-            raise ValueError(f"cell {tuple(cell)} outside shape {self.shape}")
-        return self.rows[cell.row - 1][cell.col - 1]
-
-    def cells(self) -> Iterator[Cell]:
-        return self.shape.cells()
-
     def cells_of(self, letter: int) -> tuple[Cell, ...]:
-        return self._letter_index().get(letter, ())
-
-    def residues_of(self, letter: int) -> frozenset[int]:
-        return frozenset(self._residue_index().get(letter, ()))
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Letters read bottom-to-top, left-to-right."""
-        return tuple(x for row in self.rows for x in row)
+        return self._letter_index().get(_strict_int(letter, "letter"), ())
 
     def restrict_leq(self, letter: int) -> "KTableau":
         """The sub-tableau on cells with letters <= letter."""
+        letter = _strict_int(letter, "letter")
         if not 1 <= letter <= self.n_letters:
             raise ValueError(f"letter {letter} out of range 1..{self.n_letters}")
         kept = []
@@ -355,6 +341,7 @@ class StandardSequence:
         return len(self.entries)
 
     def entry(self, letter: int) -> SequenceEntry:
+        letter = _strict_int(letter, "letter")
         if not 1 <= letter <= len(self.entries):
             raise ValueError(f"letter {letter} not in sequence of length {len(self)}")
         return self.entries[letter - 1]

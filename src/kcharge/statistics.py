@@ -56,8 +56,9 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     mod k+1 selects which diagonals are counted in the open interval.
     That residue is the residue of one end of the interval, so the count
     is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
-    cell is the lower.  k must be at least 1.
+    cell is the lower.  k must be an integer of at least 1.
     """
+    k = _strict_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     gap = abs(c1.diagonal - c2.diagonal)

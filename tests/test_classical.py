@@ -1,7 +1,7 @@
 import pytest
 
 from kcharge import statistics
-from kcharge.cores import Cell, Partition, hook_length, n_stat, partitions
+from kcharge.cores import Cell, Partition, n_stat, partitions
 from kcharge.ktableaux import enumerate_k_tableaux, standard_sequences, to_text
 from kcharge.statistics import (
     TPolynomial,
@@ -12,6 +12,7 @@ from kcharge.statistics import (
     kostka_foulkes_table,
 )
 from kcharge.sweeps import weights_up_to
+from reference import hook_length
 
 
 def dominates(lam, mu):

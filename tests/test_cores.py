@@ -6,21 +6,18 @@ from hypothesis import given, strategies as st
 from kcharge.cores import (
     Cell,
     Partition,
+    _corner_residues,
     _hook_facts,
     add_residue_class,
-    addable_corners,
     enumerate_cores,
-    hook_length,
-    is_n_core,
     k_bounded_hooks,
-    k_interior,
     n_stat,
     parse_partition,
     partition_sort_key,
     partitions,
-    removable_corners,
     residue,
 )
+from reference import addable_corners, hook_length, is_n_core, k_interior, removable_corners
 
 
 @st.composite
@@ -153,19 +150,9 @@ def test_addable_corners_known():
     assert (Cell(4, 1), 2) in corners
 
 
-def _cell_addable_corners(shape, n):
-    """The Cell-based addable-corner rule, kept literal as a reference."""
-    corners = []
-    for i, part in enumerate(shape, start=1):
-        if i == 1 or shape[i - 2] > part:
-            corners.append(Cell(i, part + 1))
-    corners.append(Cell(len(shape) + 1, 1))
-    return [(c, residue(c, n)) for c in corners]
-
-
 def _cell_add_residue_class(shape, n, res):
     """The Cell-based residue-class fill, through a row -> column dict."""
-    rows = {c.row: c.col for c, r in _cell_addable_corners(shape, n) if r == res}
+    rows = {c.row: c.col for c, r in addable_corners(shape, n) if r == res}
     if not rows:
         return None
     parts = list(shape)
@@ -185,14 +172,23 @@ def test_integer_corner_rule_equals_the_cell_rule(n):
     cores = enumerate_cores(n, 8)
     assert len(cores) > 8
     for shape in cores + list(all_partitions_up_to(6)):
-        assert addable_corners(shape, n) == _cell_addable_corners(shape, n)
+        padded = tuple(shape) + (0,)
+        integer_rule = [
+            (Cell(i + 1, padded[i] + 1), r)
+            for i, r in enumerate(_corner_residues(shape, n))
+            if r is not None
+        ]
+        assert integer_rule == addable_corners(shape, n)
         for res in range(n):
             assert add_residue_class(shape, n, res) == _cell_add_residue_class(shape, n, res)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_corner_functions_reject_a_modulus_below_two(n):
-    calls = (lambda: addable_corners(Partition([2]), n), lambda: add_residue_class(Partition(), n, 0))
+    calls = (
+        lambda: list(_corner_residues(Partition([2]), n)),
+        lambda: add_residue_class(Partition(), n, 0),
+    )
     for call in calls:
         with pytest.raises(ValueError) as exc:
             call()
@@ -267,11 +263,11 @@ def test_k_bounded_hooks_counts_hooks_of_cores(n):
             assert k_bounded_hooks(shape, k) == shape.size() - len(k_interior(shape, k))
 
 
-def test_hook_facts_equal_the_public_hook_functions():
+def test_hook_facts_equal_the_hook_scan():
     # One pass gives what a scan of each cell's hook_length gives: the
     # first cell, bottom row first, whose hook is n, and the number of
-    # hooks below n; the same from a cold cache, a warm one, and a plain
-    # tuple key.
+    # hooks below n, which k_bounded_hooks reads with k = n - 1; the same
+    # from a cold cache, a warm one, and a plain tuple key.
     shapes = list(all_partitions_up_to(10))
     hooks = {
         shape: [(cell, hook_length(shape, cell)) for cell in shape.cells()] for shape in shapes
@@ -284,6 +280,7 @@ def test_hook_facts_equal_the_public_hook_functions():
                 expected = (first, sum(hook < n for _, hook in hooks[shape]))
                 assert _hook_facts(shape, n) == expected
                 assert _hook_facts(tuple(shape), n) == expected
+                assert k_bounded_hooks(shape, n - 1) == expected[1]
     assert _hook_facts.cache_info().misses == len(shapes) * 6
 
 

@@ -11,7 +11,6 @@ from kcharge.cores import (
     _hook_facts,
     add_residue_class,
     enumerate_cores,
-    is_n_core,
     partition_sort_key,
     partitions,
     residue,
@@ -37,6 +36,7 @@ from kcharge.ktableaux import (
     validate,
 )
 from kcharge.sweeps import weights_up_to
+from reference import is_n_core
 
 
 def small_pool():
@@ -159,7 +159,7 @@ def test_restrict_sequence(tab_semistandard_13):
 def test_restrict_sequence_standard_matches_restrict_leq(tab_standard_9):
     seq = standard_sequences(tab_standard_9)[0]
     for i in range(1, 10):
-        assert restrict_sequence(seq, i) == frozenset(tab_standard_9.restrict_leq(i).cells())
+        assert restrict_sequence(seq, i) == frozenset(tab_standard_9.restrict_leq(i).shape.cells())
 
 
 def test_occurrences(tab_standard_9, tab_semistandard_13):
@@ -310,7 +310,11 @@ def test_enumeration_is_canonically_ordered():
     tableaux = 0
     for k, mu in weights_up_to(5, 8):
         tabs = enumerate_k_tableaux(k, mu)
-        keys = [(partition_sort_key(t.shape), t.reading_word()) for t in tabs]
+        # The reading word: rows bottom-first, each left to right.
+        keys = [
+            (partition_sort_key(t.shape), tuple(x for row in t.rows for x in row))
+            for t in tabs
+        ]
         assert keys == sorted(keys), (k, mu)
         assert len(set(keys)) == len(keys), (k, mu)
         tableaux += len(tabs)
@@ -632,17 +636,17 @@ def test_letter_index_is_lazy_and_outside_equality(tab_semistandard_13):
         assert classes[x] == {
             r: frozenset(c for c in scanned[x] if residue(c, n) == r) for r in first_seen
         }
-        assert tab_semistandard_13.residues_of(x) == frozenset(first_seen)
+        assert frozenset(classes[x]) == frozenset(first_seen)
     assert sorted(classes) == list(range(1, 8))
     assert tab_semistandard_13.weight == tuple(len(classes[x]) for x in range(1, 8))
-    assert tab_semistandard_13.residues_of(0) == tab_semistandard_13.residues_of(99) == frozenset()
+    assert 0 not in classes and 99 not in classes
     # A missing letter has no key and spans no residue.
     gap = KTableau(2, [[1, 3]])
     assert gap._residue_index() == {
         1: {0: frozenset({Cell(1, 1)})},
         3: {1: frozenset({Cell(1, 2)})},
     }
-    assert gap.weight == (1, 0, 1) and gap.residues_of(2) == frozenset()
+    assert gap.weight == (1, 0, 1) and 2 not in gap._residue_index()
     assert copy._by_letter is None and tab_semistandard_13._by_letter is not None
     assert copy._by_residue is None and tab_semistandard_13._by_residue is not None
     assert copy == tab_semistandard_13 and hash(copy) == hash(tab_semistandard_13)
@@ -886,8 +890,8 @@ def test_residue_index_files_every_cell_by_its_residue():
     for tab, _ in _tableaux_and_one_letter_changes():
         n = tab.k + 1
         literal = {}
-        for cell in tab.cells():
-            letter = tab.letter(cell)
+        for cell in tab.shape.cells():
+            letter = tab.rows[cell.row - 1][cell.col - 1]
             literal.setdefault(letter, {}).setdefault(residue(cell, n), set()).add(cell)
         assert tab._residue_index() == {
             x: {r: frozenset(cs) for r, cs in by_res.items()} for x, by_res in literal.items()
@@ -947,3 +951,20 @@ def test_every_letter_prefix_of_a_random_tableau_validates(random_tableaux):
             assert validate(tab.restrict_leq(r), tab.weight[:r]).ok, (to_text(tab), r)
             prefixes += 1
     assert prefixes == 4426
+
+
+def test_shape_restricted_enumeration_contains_random_prefixes(random_tableaux):
+    # Each tableau's largest letter prefix of at most 10 cells is among the
+    # tableaux enumerated for its weight and shape, all of that shape.
+    # Whole tableaux of 15-40 cells take seconds each to enumerate.
+    for k, tab in random_tableaux:
+        prefix = None
+        for r in range(1, tab.n_letters + 1):
+            grown = tab.restrict_leq(r)
+            if grown.shape.size() > 10:
+                break
+            prefix = grown
+        assert prefix is not None, to_text(tab)
+        found = enumerate_k_tableaux(k, prefix.weight, shape=prefix.shape)
+        assert prefix in found, to_text(tab)
+        assert all(t.shape == prefix.shape for t in found), to_text(tab)
