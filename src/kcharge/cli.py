@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .cores import Partition, _hook_facts, _parse_digits, _partition_fault, n_stat
 from .ktableaux import (
@@ -105,8 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-# The one scalar type whose list `_json_text` writes in a single join.
+# The scalar types whose lists `_json_text` writes in a single join.
 _INT_TYPE = frozenset({int})
+_STR_OR_NULL = frozenset({str, type(None)})
+_LISTS = (list, tuple)
+_CONTAINERS = (dict, list, tuple)
 
 
 def _json_scalar(value: object) -> str:
@@ -126,25 +130,34 @@ def _json_text(obj: object, newline: str = "\n") -> str:
     dicts with string keys, lists and tuples, ints, strings, bools and
     None.  `indent` selects json's pure-Python encoder; this writes the
     same text directly.  `newline` is the line break and indent of the
-    level that holds `obj`.  A list of scalars is written in one join,
-    with no call of `_json_text` per item, and each container's text is
-    built in one f-string, not by a chain of concatenations that copies it
-    again at each step."""
+    level that holds `obj`.  A list of ints, or of strings and nulls, is
+    written in one join, with no call of `_json_text` per item; a dict
+    writes its int-list values itself, with no call per value.  Each
+    container's text is built in one f-string, not by a chain of
+    concatenations that copies it again at each step."""
+    inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = newline + "  "
-        texts = [f"{_encode_str(key)}: {_json_text(value, inner)}" for key, value in obj.items()]
+        deeper = inner + "  "
+        sep = "," + deeper
+        texts = [
+            f"{_encode_str(key)}: [{deeper}{sep.join(map(int.__repr__, value))}{inner}]"
+            if type(value) in _LISTS and value and _INT_TYPE.issuperset(map(type, value))
+            else f"{_encode_str(key)}: {_json_text(value, inner)}"
+            for key, value in obj.items()
+        ]
         return f"{{{inner}{(',' + inner).join(texts)}{newline}}}"
-    if not isinstance(obj, (list, tuple)):
+    if not isinstance(obj, _LISTS):
         return _json_scalar(obj)
     if not obj:
         return "[]"
-    inner = newline + "  "
     kinds = set(map(type, obj))
     if kinds == _INT_TYPE:
         texts = map(int.__repr__, obj)
-    elif any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+    elif kinds <= _STR_OR_NULL:
+        texts = ["null" if v is None else _encode_str(v) for v in obj]
+    elif any(issubclass(kind, _CONTAINERS) for kind in kinds):
         texts = [_json_text(item, inner) for item in obj]
     else:
         texts = map(_json_scalar, obj)
@@ -161,7 +174,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     weight = _parse_csv_ints(args.weight, "weight")
-    shape = _parse_shape(args.shape) if args.shape else None
+    shape = None if args.shape is None else _parse_shape(args.shape)
     tableaux = enumerate_k_tableaux(args.k, weight, shape=shape)
     if args.format == "json":
         payload = {
@@ -188,20 +201,25 @@ def _read_tableau(source: str):
     return parse_text(raw)
 
 
+def _order_text(modulus: int, pivot: int, direction: str) -> str:
+    return str(ResidueOrder(modulus, pivot, direction))
+
+
+# `stat` shows the orders of a modulus up to this bound through
+# `_kept_order_text`, which renders each once per process: the moduli of
+# the tableaux it reads repeat.  An order of modulus n is about 4n
+# characters, so the bound keeps at most 270 short strings, and a larger
+# modulus (`stat` takes k=400000) is rendered anew each time it is shown.
+_KEPT_ORDER_MODULUS = 16
+_kept_order_text = lru_cache(maxsize=None)(_order_text)
+
+
 def _stat_payload(tab) -> dict:
     reports = sequence_reports(tab)
     mu = Partition(tab.weight)
-    interior = tab.shape.size() - _hook_facts(tab.shape, tab.k + 1)[1]
-    # Each order shown is rendered once per payload, from its pivot.
-    rendered = {"low": {None: None}, "high": {None: None}}
-
-    def orders(pivots, direction):
-        strings = rendered[direction]
-        for pivot in pivots:
-            if pivot not in strings:
-                strings[pivot] = str(ResidueOrder(tab.k + 1, pivot, direction))
-        return [strings[pivot] for pivot in pivots]
-
+    n = tab.k + 1
+    interior = tab.shape.size() - _hook_facts(tab.shape, n)[1]
+    order_text = _kept_order_text if n <= _KEPT_ORDER_MODULUS else _order_text
     return {
         "k": tab.k,
         "shape": list(tab.shape),
@@ -209,19 +227,22 @@ def _stat_payload(tab) -> dict:
         "n_weight": n_stat(mu),
         "interior": interior,
         "k_charge": {
-            "lp": sum(r.charge_lp() for r in reports),
-            "morse": sum(r.charge_morse() for r in reports),
+            "lp": sum([r.charge_lp() for r in reports]),
+            "morse": sum([r.charge_morse() for r in reports]),
         },
         "k_cocharge": {
-            "lp": sum(r.cocharge_lp() for r in reports),
-            "morse": sum(r.cocharge_morse() for r in reports),
+            "lp": sum([r.cocharge_lp() for r in reports]),
+            "morse": sum([r.cocharge_morse() for r in reports]),
         },
         "sequences": [
             # The record's columns in order, the pivots as order strings.
             {
                 **dict(zip(r._fields[:-2], r)),
-                "low_orders": orders(r.low_pivots, "low"),
-                "high_orders": orders(r.high_pivots, "high"),
+                # Letter 1 has no order: its pivot is None.
+                "low_orders": [p if p is None else order_text(n, p, "low") for p in r.low_pivots],
+                "high_orders": [
+                    p if p is None else order_text(n, p, "high") for p in r.high_pivots
+                ],
             }
             for r in reports
         ],
@@ -316,7 +337,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         formulation = {} if args.formulation is None else {"formulation": args.formulation}
         table = charge_table(args.k, weight, **formulation)
-    if args.shape:
+    if args.shape is not None:
         wanted = _parse_shape(args.shape)
         table = {shape: poly for shape, poly in table.items() if shape == wanted}
     if args.format == "json":

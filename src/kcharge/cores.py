@@ -27,6 +27,15 @@ def _strict_int(value: object, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _strict_k(k: object) -> int:
+    """k as an int of at least 1, read through `_strict_int`; every
+    function that takes k reads it here, before it uses k + 1."""
+    k = _strict_int(k, "k")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return k
+
+
 def _parse_digits(text: str, what: str) -> int:
     """The integer spelled by text, which must be ASCII digits 0-9 only;
     int() would also take a sign, underscores, surrounding spaces and
@@ -129,15 +138,22 @@ def partition_sort_key(shape: Partition) -> tuple:
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with parts at most max_part, largest part first."""
+    """All partitions of n with parts at most max_part, largest part first.
+    n and max_part must be integers (bools, floats and strings raise
+    ValueError), checked once before anything is yielded."""
+    n = _strict_int(n, "n")
+    return _partitions(n, n if max_part is None else _strict_int(max_part, "max_part"))
+
+
+def _partitions(n: int, max_part: int) -> Iterator[Partition]:
+    """`partitions` on checked ints."""
     if n < 0:
         return
     if n == 0:
         yield Partition._trusted(())
         return
-    first_cap = n if max_part is None else min(max_part, n)
-    for first in range(first_cap, 0, -1):
-        for rest in partitions(n - first, first):
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _partitions(n - first, first):
             yield Partition._trusted((first,) + rest)
 
 
@@ -195,9 +211,7 @@ def _corner_residues(parts: Sequence[int], n: int) -> Iterator[int | None]:
 
 def k_bounded_hooks(shape: Iterable[int], k: int) -> int:
     """Number of cells with hook length at most k."""
-    k = _strict_int(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = _strict_k(k)
     return _hook_facts(Partition(shape), k + 1)[1]
 
 
@@ -211,8 +225,13 @@ def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
     `_corner_residues`; None if there is none.
 
     For an n-core this yields an n-core again, with one more (n-1)-bounded
-    hook.
+    hook.  n and res must be integers (bools, floats and strings raise
+    ValueError); exact ints skip `_strict_int`, as in `Partition`.
     """
+    if type(n) is not int:
+        n = _strict_int(n, "residue modulus")
+    if type(res) is not int:
+        res = _strict_int(res, "residue")
     grown = list(shape)
     filled = False
     for i, r in enumerate(_corner_residues(shape, n)):
@@ -266,8 +285,11 @@ def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:
 
     Grown breadth-first from the empty core by repeatedly filling all
     addable corners of a single residue (each such step adds exactly one
-    bounded hook).  Output is deduplicated and sorted canonically.
+    bounded hook).  Output is deduplicated and sorted canonically.  Both
+    arguments must be integers (bools, floats and strings raise ValueError).
     """
+    n = _strict_int(n, "core modulus")
+    max_bounded_hooks = _strict_int(max_bounded_hooks, "bound")
     if n < 2:
         raise ValueError(f"core modulus must be at least 2, got {n}")
     if max_bounded_hooks < 0:

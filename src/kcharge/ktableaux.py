@@ -18,9 +18,9 @@ from .cores import (
     Partition,
     _corner_residues,
     _hook_facts,
-    _parse_digits,
     _partition_fault,
     _strict_int,
+    _strict_k,
     add_residue_class,
     k_bounded_hooks,
     enumerate_cores,
@@ -90,10 +90,11 @@ class KTableau:
     __slots__ = ("k", "rows", "shape", "_by_letter", "_by_residue", "_weight")
 
     def __init__(self, k: int, rows: Iterable[Iterable[int]]):
-        self.k = _strict_int(k, "k")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        rows = tuple(tuple(_strict_int(x, "letter") for x in row) for row in rows)
+        self.k = _strict_k(k)
+        # Exact ints skip `_strict_int`, as in `Partition`.
+        rows = tuple(
+            [tuple([x if type(x) is int else _strict_int(x, "letter") for x in row]) for row in rows]
+        )
         for row in rows:
             if row and min(row) < 1:
                 bad = next(x for x in row if x < 1)
@@ -347,7 +348,7 @@ class StandardSequence:
         return self.entries[letter - 1]
 
     def residues(self) -> tuple[int, ...]:
-        return tuple(e.residue for e in self.entries)
+        return tuple([e.residue for e in self.entries])
 
 
 def standard_sequences(tab: KTableau) -> list[StandardSequence]:
@@ -534,9 +535,7 @@ def enumerate_k_tableaux(
     from the addable residues (see `_weak_strips`).  The tests compare it
     with the brute-force `_enumerate_oracle`.
     """
-    k = _strict_int(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = _strict_k(k)
     weight = tuple(_strict_int(a, "weight part") for a in weight)
     if any(a < 1 for a in weight):
         raise ValueError(f"weight parts must be positive, got {weight}")
@@ -563,35 +562,48 @@ def to_text(tab: KTableau) -> str:
 
 def parse_text(text: str) -> KTableau:
     """Inverse of `to_text`; the residue suffix is optional but checked.
-    k, letters and residues must be written in ASCII digits 0-9."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    k, letters and residues must be written in ASCII digits 0-9.
+
+    Each entry is read once, in one pass over the lines, top line first.
+    The errors keep one precedence: a bad header, then the first malformed
+    entry as written (top line first, left to right), then `KTableau`'s
+    checks of k, the letters and the row lengths, and last the first wrong
+    residue claim bottom row first, left to right."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or not lines[0].startswith("k="):
         raise ValueError("missing k=<k> header line")
-    try:
-        k = _parse_digits(lines[0][2:], "k")
-    except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}") from None
-    rows_top_first = []
-    for ln in lines[1:]:
+    head = lines[0][2:]
+    if not (head.isascii() and head.isdigit()):
+        raise ValueError(f"bad header {lines[0]!r}")
+    n = int(head) + 1
+    rows = []
+    # (row, col, claimed, expected) of the first wrong claim in the lowest
+    # row read so far: a lower row's claim replaces a higher row's.
+    wrong = None
+    for i, line in zip(range(len(lines) - 1, 0, -1), lines[1:]):
         row = []
-        for token in ln.split():
-            letter, sep, res = token.partition("_")
-            try:
-                x = _parse_digits(letter, "letter")
-                row.append((x, _parse_digits(res, "residue") if sep else None))
-            except ValueError:
-                raise ValueError(f"bad entry {token!r}") from None
-        rows_top_first.append(row)
-    rows = [[x for x, _ in row] for row in reversed(rows_top_first)]
-    tab = KTableau(k, rows)
-    n = k + 1
-    for i, row in enumerate(reversed(rows_top_first), start=1):
-        for j, (_, res) in enumerate(row, start=1):
-            if res is not None and res != (j - i) % n:
-                raise ValueError(
-                    f"entry at row {i}, col {j} claims residue {res}, "
-                    f"expected {(j - i) % n}"
-                )
+        res = (1 - i) % n  # the residue of the cell (i, 1)
+        for token in line.split():
+            letter, sep, claim = token.partition("_")
+            if not (
+                letter.isascii()
+                and letter.isdigit()
+                and (not sep or (claim.isascii() and claim.isdigit()))
+            ):
+                raise ValueError(f"bad entry {token!r}")
+            row.append(int(letter))
+            if sep and int(claim) != res and (wrong is None or wrong[0] != i):
+                wrong = (i, len(row), int(claim), res)
+            res += 1
+            if res == n:
+                res = 0
+        rows.append(row)
+    rows.reverse()
+    tab = KTableau(n - 1, rows)
+    if wrong is not None:
+        raise ValueError(
+            "entry at row {}, col {} claims residue {}, expected {}".format(*wrong)
+        )
     return tab
 
 

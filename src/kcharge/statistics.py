@@ -30,6 +30,7 @@ from .cores import (
     _parse_digits,
     _partition_fault,
     _strict_int,
+    _strict_k,
     partition_sort_key,
     partitions,
     residue,
@@ -58,9 +59,7 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
     cell is the lower.  k must be an integer of at least 1.
     """
-    k = _strict_int(k, "k")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = _strict_k(k)
     gap = abs(c1.diagonal - c2.diagonal)
     return (gap - 1) // (k + 1) if gap else 0
 
@@ -134,13 +133,17 @@ class ResidueOrder:
 
 
 def low_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
-    pivot = residue(lowest_addable(cells), k + 1)
-    return ResidueOrder(k + 1, pivot, "low")
+    """The low order pivoted at the residue mod k+1 of the cells' lowest
+    addable cell; k is read as `diag` reads it."""
+    n = _strict_k(k) + 1
+    return ResidueOrder(n, residue(lowest_addable(cells), n), "low")
 
 
 def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
-    pivot = residue(highest_addable(cells), k + 1)
-    return ResidueOrder(k + 1, pivot, "high")
+    """The high order pivoted at the residue mod k+1 of the cells' highest
+    addable cell; k is read as `diag` reads it."""
+    n = _strict_k(k) + 1
+    return ResidueOrder(n, residue(highest_addable(cells), n), "high")
 
 
 class SequenceReport(NamedTuple):
@@ -286,7 +289,7 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     """Every per-letter vector of one standard sequence: `_steps` returns
     its ten columns, pivots included, and they are frozen as tuples; `stat`
     renders the orders."""
-    letters = tuple(e.letter for e in seq.entries)
+    letters = tuple([e.letter for e in seq.entries])
     return SequenceReport(letters, seq.residues(), *map(tuple, _steps(seq, k + 1)))
 
 

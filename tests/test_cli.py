@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from kcharge.ktableaux import (
     to_json,
     to_text,
 )
+from kcharge.statistics import ResidueOrder
 from kcharge.sweeps import SweepFailure, SweepReport
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
@@ -712,6 +714,17 @@ def test_enumerate_rejects_a_zero_weight_part(capsys):
             "k=2\n2_2 3_0\n1_0\n",
             "row lengths (bottom row first) must be weakly decreasing, got (1, 2)",
         ),
+        # An empty --shape is an error, not the absence of the option.
+        (
+            ["enumerate", "--k", "3", "--weight", "2,1", "--shape", ""],
+            "",
+            "shape must be comma-separated integers, got ''",
+        ),
+        (
+            ["table", "--k", "3", "--weight", "2,1", "--shape", ""],
+            "",
+            "shape must be comma-separated integers, got ''",
+        ),
     ],
 )
 def test_shape_errors_name_what_the_user_wrote(monkeypatch, capsys, argv, stdin, message):
@@ -784,8 +797,37 @@ json_values = st.recursive(
 @given(json_values)
 @example({"": [], "a": {}, "b": [[], {}, [[]]], "c": ({"d": ()},)})
 @example(["x\ny", None, True, False, -7, "\"\\"])
+@example({"a": (1, 2), "b": [True, 1], "c": [None, "x", None], "d": [1, None], "e": (7,)})
 def test_json_text_is_json_dumps_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_stat_of_a_huge_k_keeps_no_order(tmp_path, capsys):
+    # Each order of modulus 400,001 is about 2.6 MB.  `stat` prints both of
+    # them as before (the digests of its text and JSON output are pinned),
+    # and the cache of rendered orders keeps neither.
+    cli._kept_order_text.cache_clear()
+    path = tmp_path / "huge_k.txt"
+    path.write_text("k=400000\n1_0 2_1\n")
+    shown = {}
+    for fmt in ("text", "json"):
+        assert cli.main(["stat", str(path), "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        shown[fmt] = (len(captured.out), hashlib.sha256(captured.out.encode()).hexdigest())
+        if fmt == "json":
+            (seq,) = json.loads(captured.out)["sequences"]
+            assert seq["low_orders"] == [None, str(ResidueOrder(400001, 2, "low"))]
+            assert seq["high_orders"] == [None, str(ResidueOrder(400001, 400000, "high"))]
+    assert shown == {
+        "text": (20933673, "2a9702024d944f5fdf58d8a40ac7443c60a814e5efead0b8e8f6023b83a5199d"),
+        "json": (6978637, "2a81855a9a8db3b610408731b466d840cf94fdd57b2569fb56df4dfc29b29bf3"),
+    }
+    assert cli._kept_order_text.cache_info().currsize == 0
+    # An order of a small modulus is kept: k=2 shows one low and one high.
+    path.write_text("k=2\n1_0 2_1\n")
+    assert cli.main(["stat", str(path)]) == 0
+    assert cli._kept_order_text.cache_info().currsize == 2
 
 
 def test_json_text_writes_every_stat_payload_of_a_weight():

@@ -508,6 +508,41 @@ def test_parse_text_names_a_wrong_residue(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # A bad header is named before any entry.
+        ("k=x\n1_x\n", "bad header 'k=x'"),
+        # The first malformed entry as written: the top line first, then
+        # left to right.
+        ("k=3\n1_x 2_y\n1_0 1_z\n", "bad entry '1_x'"),
+        ("k=3\n1_0 2_y 1_x\n", "bad entry '2_y'"),
+        ("k=3\n0_3\n1_x\n", "bad entry '1_x'"),
+        # A malformed entry wins over a wrong residue claim read before it.
+        ("k=3\n2_1\n1_0 1_1 1_z\n", "bad entry '1_z'"),
+        # k, letter and row-length errors win over a wrong residue claim.
+        ("k=0\n1_5\n", "k must be positive, got 0"),
+        ("k=3\n2_0\n1_0 0_1\n", "letters must be positive, got 0"),
+        (
+            "k=3\n1_1 1_1\n1_1\n",
+            "row lengths (bottom row first) must be weakly decreasing, got (1, 2)",
+        ),
+        # Of two wrong claims, the first bottom row first, then left to right.
+        ("k=3\n2_1\n1_1 1_1\n", "entry at row 1, col 1 claims residue 1, expected 0"),
+        ("k=3\n2_1 2_1\n1_0 1_0\n", "entry at row 1, col 2 claims residue 0, expected 1"),
+        ("k=3\n1_0 1_0 1_0\n", "entry at row 1, col 2 claims residue 0, expected 1"),
+        (
+            "k=3\n3_0\n2_3 3_1\n1_0 1_1 2_2 2_3 3_0\n",
+            "entry at row 2, col 2 claims residue 1, expected 0",
+        ),
+    ],
+)
+def test_parse_text_names_the_first_error_in_written_order(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_text(text)
+    assert str(exc.value) == message
+
+
 def test_parse_text_without_residues():
     assert parse_text("k=3\n3\n2 3\n1 1 2 2 3\n").rows == ((1, 1, 2, 2, 3), (2, 3), (3,))
 

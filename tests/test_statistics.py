@@ -323,6 +323,26 @@ def test_tests_only_definitions_are_not_library_names():
         (lambda tab, seq: diag(Cell(1, 1), Cell(1, 9), 2.5), "k must be an integer, got 2.5"),
         (lambda tab, seq: diag(Cell(1, 1), Cell(1, 9), True), "k must be an integer, got True"),
         (lambda tab, seq: cores.k_bounded_hooks((3,), 2.5), "k must be an integer, got 2.5"),
+        (
+            lambda tab, seq: cores.enumerate_cores(2.5, 2),
+            "core modulus must be an integer, got 2.5",
+        ),
+        (lambda tab, seq: cores.enumerate_cores(3, 1.5), "bound must be an integer, got 1.5"),
+        (lambda tab, seq: list(partitions(2.5)), "n must be an integer, got 2.5"),
+        (lambda tab, seq: list(partitions(True)), "n must be an integer, got True"),
+        (lambda tab, seq: list(partitions(3, 1.5)), "max_part must be an integer, got 1.5"),
+        (
+            lambda tab, seq: cores.add_residue_class(Partition([2]), 3.0, 2),
+            "residue modulus must be an integer, got 3.0",
+        ),
+        (
+            lambda tab, seq: cores.add_residue_class(Partition([2]), 3, True),
+            "residue must be an integer, got True",
+        ),
+        (lambda tab, seq: low_order([Cell(1, 1)], True), "k must be an integer, got True"),
+        (lambda tab, seq: high_order([Cell(1, 1)], True), "k must be an integer, got True"),
+        (lambda tab, seq: low_order([Cell(1, 1)], 2.5), "k must be an integer, got 2.5"),
+        (lambda tab, seq: high_order([Cell(1, 1)], 0), "k must be positive, got 0"),
     ],
     ids=[
         "restrict_leq-float",
@@ -338,6 +358,17 @@ def test_tests_only_definitions_are_not_library_names():
         "diag-float-k",
         "diag-bool-k",
         "k_bounded_hooks-float-k",
+        "enumerate_cores-float-modulus",
+        "enumerate_cores-float-bound",
+        "partitions-float-n",
+        "partitions-bool-n",
+        "partitions-float-max_part",
+        "add_residue_class-float-modulus",
+        "add_residue_class-bool-residue",
+        "low_order-bool-k",
+        "high_order-bool-k",
+        "low_order-float-k",
+        "high_order-zero-k",
     ],
 )
 def test_integer_arguments_are_taken_strictly(tab_standard_9, call, message):
@@ -513,6 +544,7 @@ def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, cap
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(ResidueOrder, "__init__", counting)
+    cli._kept_order_text.cache_clear()
     # One letter shows no order, whatever the modulus.
     path = tmp_path / "one_cell.txt"
     path.write_text("k=400000\n1_0\n")
@@ -525,8 +557,8 @@ def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out
     assert "2 > 0 > 1" in out and "2 > 1 > 0" in out
     assert built == [(3, 2, "low"), (3, 2, "high")]
-    # Orders repeat within and across sequences; each distinct one shown
-    # is built once per payload.
+    # Orders repeat within and across sequences and reports; each distinct
+    # one shown is built once per process.
     tab = ktableaux.parse_text("k=3\n3_2\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n")
     del built[:]
     payload = cli._stat_payload(tab)
@@ -544,7 +576,7 @@ def test_stat_builds_only_the_residue_orders_it_shows(monkeypatch, tmp_path, cap
     assert {(d, str(ResidueOrder(m, p, d))) for m, p, d in made} == shown
     del built[:]
     assert cli._stat_payload(tab) == payload
-    assert built == made
+    assert built == []
 
 
 @pytest.mark.parametrize("formulation", ["lp", "morse"])
@@ -1070,7 +1102,9 @@ def test_passing_checker_builds_no_record_and_no_residue_order(
         checked, failures = sweeps.check_tableau_identities(tab)
         assert checked and not failures
     assert records == [] and orders == []
-    # The counters count: the stat record builds both.
+    # The counters count: the stat record builds both (the orders once per
+    # process).
+    cli._kept_order_text.cache_clear()
     cli._stat_payload(tab_semistandard_13)
     assert records and orders
 
