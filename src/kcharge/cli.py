@@ -185,8 +185,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         }
         _emit(args, _json_text(payload) + "\n")
     else:
+        # Each block ends in a newline; one more separates it from the next.
         blocks = [to_text(t) for t in tableaux]
-        _emit(args, "".join(b + "\n" for b in blocks) + f"count: {len(tableaux)}\n")
+        blocks.append(f"count: {len(tableaux)}\n")
+        _emit(args, "\n".join(blocks))
     return EXIT_OK
 
 

@@ -226,12 +226,19 @@ def add_residue_class(shape: Partition, n: int, res: int) -> Partition | None:
 
     For an n-core this yields an n-core again, with one more (n-1)-bounded
     hook.  n and res must be integers (bools, floats and strings raise
-    ValueError); exact ints skip `_strict_int`, as in `Partition`.
+    ValueError); exact ints skip `_strict_int`, as in `Partition`.  res
+    must lie in 0..n-1, and a shape that is not a `Partition` is checked
+    as `Partition` checks it.
     """
     if type(n) is not int:
         n = _strict_int(n, "residue modulus")
     if type(res) is not int:
         res = _strict_int(res, "residue")
+    if type(shape) is not Partition:
+        shape = Partition(shape)
+    # A modulus below 2 is left to `_corner_residues`, which names it.
+    if not 0 <= res < n and n >= 2:
+        raise ValueError(f"residue must lie in 0..{n - 1}, got {res}")
     grown = list(shape)
     filled = False
     for i, r in enumerate(_corner_residues(shape, n)):

@@ -2,9 +2,11 @@
 
 Each is written cell by cell from its definition and shares no loop with
 the library's integer rules: `cores._hook_facts` (one pass over a shape's
-hook lengths, cached) and `cores._corner_residues` (the addable corners as
-residues of row numbers).  A test that compares the two thus compares two
-independent computations.  None of these is part of the kcharge API.
+hook lengths, cached), `cores._corner_residues` (the addable corners as
+residues of row numbers) and `ktableaux.to_text` (a cached layout per
+shape, filled with the letters).  A test that compares the two thus
+compares two independent computations.  None of these is part of the
+kcharge API.
 """
 
 from kcharge.cores import Cell, Partition, residue
@@ -58,3 +60,15 @@ def removable_corners(shape, n):
         if i == len(shape) or shape[i] < part
     ]
     return [(c, residue(c, n)) for c in corners]
+
+
+def to_text(tab):
+    """The text form of a k-tableau, written cell by cell: the "k=<k>"
+    header, then each row, top row first, as "letter_residue" entries,
+    each residue that of the entry's 1-based cell (row i, column j)."""
+    n = tab.k + 1
+    lines = [f"k={tab.k}"]
+    for i in range(len(tab.rows), 0, -1):
+        row = tab.rows[i - 1]
+        lines.append(" ".join(f"{x}_{residue(Cell(i, j), n)}" for j, x in enumerate(row, start=1)))
+    return "\n".join(lines) + "\n"

@@ -195,6 +195,26 @@ def test_corner_functions_reject_a_modulus_below_two(n):
         assert str(exc.value) == f"residue modulus must be at least 2, got {n}"
 
 
+@pytest.mark.parametrize(
+    "shape, res, message",
+    [
+        (Partition([2]), 7, "residue must lie in 0..2, got 7"),
+        (Partition([2]), -1, "residue must lie in 0..2, got -1"),
+        ((1, 3), 1, "parts must be weakly decreasing, got (1, 3)"),
+        ([2, 0], 2, "parts must be positive, got (2, 0)"),
+    ],
+    ids=["residue-above", "residue-below", "increasing-parts", "zero-part"],
+)
+def test_add_residue_class_rejects_a_bad_residue_or_shape(shape, res, message):
+    with pytest.raises(ValueError) as exc:
+        add_residue_class(shape, 3, res)
+    assert str(exc.value) == message
+
+
+def test_add_residue_class_takes_a_partition_as_a_list():
+    assert add_residue_class([2], 3, 2) == add_residue_class(Partition([2]), 3, 2) == (3, 1)
+
+
 def test_removable_corners_known():
     assert removable_corners(Partition([1]), 3) == [(Cell(1, 1), 0)]
     assert removable_corners(Partition([5, 2, 1]), 4) == [

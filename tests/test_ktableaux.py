@@ -20,8 +20,10 @@ from kcharge.ktableaux import (
     KTableau,
     SequenceEntry,
     ValidationReport,
+    _KEPT_LAYOUT_CELLS,
     _cell_row,
     _enumerate_oracle,
+    _kept_text_layout,
     _weak_strips,
     enumerate_k_tableaux,
     highest_occurrence,
@@ -36,7 +38,7 @@ from kcharge.ktableaux import (
     validate,
 )
 from kcharge.sweeps import weights_up_to
-from reference import is_n_core
+from reference import is_n_core, to_text as literal_text
 
 
 def small_pool():
@@ -476,20 +478,22 @@ def test_text_format_shape(tab_weight_222):
     assert to_text(tab_weight_222) == "k=3\n3_2\n2_3 3_0\n1_0 1_1 2_2 2_3 3_0\n"
 
 
-def test_text_residues_are_cell_residues():
-    # to_text computes (j - i) % n on 0-based rows and columns; every entry
-    # must carry residue(Cell(i, j), n) of its 1-based cell.
-    count = 0
-    for k, mu in weights_up_to(4, 6):
-        for tab in enumerate_k_tableaux(k, mu):
-            lines = to_text(tab).splitlines()[1:]
-            for i, line in enumerate(reversed(lines), start=1):
-                for j, token in enumerate(line.split(), start=1):
-                    letter, res = token.split("_")
-                    assert int(letter) == tab.rows[i - 1][j - 1]
-                    assert int(res) == residue(Cell(i, j), tab.k + 1)
-            count += 1
-    assert count == 307  # the tableaux `verify --max-k 4 --max-weight 6` checks
+def test_text_is_the_literal_writer_and_parse_text_inverts_it(random_tableaux):
+    # to_text fills a cached layout per (k, shape); the literal writer
+    # formats each cell with residue(Cell(i, j), k + 1).  The layout costs
+    # O(cells) at any k, and a shape over the cell bound is not kept.
+    over = KTableau(4, [[1] * _KEPT_LAYOUT_CELLS, [2, 2]])
+    tableaux = [tab for k, mu in weights_up_to(6, 9) for tab in enumerate_k_tableaux(k, mu)]
+    assert len(tableaux) == 12981
+    tableaux += [tab for _, tab in random_tableaux]
+    tableaux += [KTableau(1, []), KTableau(400000, [[1, 2]]), over]
+    for tab in tableaux:
+        text = to_text(tab)
+        assert text == literal_text(tab)
+        assert parse_text(text) == tab
+    kept = _kept_text_layout.cache_info()
+    to_text(over)
+    assert _kept_text_layout.cache_info() == kept
 
 
 @pytest.mark.parametrize(
