@@ -13,7 +13,6 @@ from .cores import (
     enumerate_cores,
     k_bounded_hooks,
     n_stat,
-    parse_partition,
     partitions,
     residue,
 )
@@ -22,13 +21,9 @@ from .ktableaux import (
     StandardSequence,
     ValidationReport,
     enumerate_k_tableaux,
-    highest_occurrence,
-    lowest_occurrence,
     parse_json,
     parse_text,
-    restrict_sequence,
     standard_sequences,
-    to_json,
     to_text,
     validate,
 )
@@ -38,15 +33,9 @@ from .statistics import (
     charge_table,
     classical_charge,
     classical_cocharge,
-    diag,
-    enumerate_ssyt,
-    high_order,
-    highest_addable,
     k_charge,
     k_cocharge,
     kostka_foulkes_table,
-    low_order,
-    lowest_addable,
     sequence_reports,
 )
 
@@ -61,30 +50,19 @@ __all__ = [
     "charge_table",
     "classical_charge",
     "classical_cocharge",
-    "diag",
     "enumerate_cores",
     "enumerate_k_tableaux",
-    "enumerate_ssyt",
-    "high_order",
-    "highest_addable",
-    "highest_occurrence",
     "k_bounded_hooks",
     "k_charge",
     "k_cocharge",
     "kostka_foulkes_table",
-    "low_order",
-    "lowest_addable",
-    "lowest_occurrence",
     "n_stat",
     "parse_json",
-    "parse_partition",
     "parse_text",
     "partitions",
     "residue",
-    "restrict_sequence",
     "sequence_reports",
     "standard_sequences",
-    "to_json",
     "to_text",
     "validate",
 ]

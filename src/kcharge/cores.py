@@ -121,17 +121,6 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse the text form "(7,3,2,1,1)"; the empty partition is "()"."""
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"not a partition literal: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return Partition()
-    return Partition(_parse_digits(p.strip(), "partition part") for p in body.split(","))
-
-
 def partition_sort_key(shape: Partition) -> tuple:
     """Canonical enumeration order: by size, then lexicographically descending."""
     return (shape.size(), tuple(-p for p in shape))

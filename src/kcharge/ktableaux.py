@@ -1,4 +1,4 @@
-"""k-tableaux: validation, restriction, standard sequences, enumeration.
+"""k-tableaux: validation, standard sequences, enumeration, text and JSON.
 
 A k-tableau is a semistandard filling of a (k+1)-core in which the cells
 holding letter i span exactly weight_i distinct (k+1)-residues.  Rows are
@@ -22,10 +22,7 @@ from .cores import (
     _strict_int,
     _strict_k,
     add_residue_class,
-    k_bounded_hooks,
-    enumerate_cores,
     partition_sort_key,
-    semistandard_fillings,
 )
 
 # The longest row whose cells are shared through `_cell_row`; a longer row
@@ -73,9 +70,9 @@ class KTableau:
     error names them.
 
     Two indexes are built together, in one pass over the rows, on first
-    use of either, and then shared by every reader: letter -> cells
-    (`cells_of`), and for each letter present the map residue -> that
-    letter's cells of the residue (read by `validate` and
+    use of either, and then shared by every reader: letter -> cells (read
+    by `n_letters` and `validate`), and for each letter present the map
+    residue -> that letter's cells of the residue (read by `validate` and
     `standard_sequences`).  Both have one key per letter present, so a
     huge letter costs no more than a small one.  The index entries are
     the `Cell`s and one-cell classes of `_cell_row`, shared by every
@@ -215,24 +212,6 @@ class KTableau:
             return tuple([len(index.get(x, ())) for x in range(1, max(index) + 1)])
         return self._weight
 
-    def cells_of(self, letter: int) -> tuple[Cell, ...]:
-        return self._letter_index().get(_strict_int(letter, "letter"), ())
-
-    def restrict_leq(self, letter: int) -> "KTableau":
-        """The sub-tableau on cells with letters <= letter."""
-        letter = _strict_int(letter, "letter")
-        if not 1 <= letter <= self.n_letters:
-            raise ValueError(f"letter {letter} out of range 1..{self.n_letters}")
-        kept = []
-        for row in self.rows:
-            count = sum(1 for x in row if x <= letter)
-            if any(x > letter for x in row[:count]):
-                raise ValueError(f"letters <= {letter} do not form row prefixes")
-            if count:
-                kept.append(row[:count])
-        return KTableau(self.k, kept)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -341,12 +320,6 @@ class StandardSequence:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def entry(self, letter: int) -> SequenceEntry:
-        letter = _strict_int(letter, "letter")
-        if not 1 <= letter <= len(self.entries):
-            raise ValueError(f"letter {letter} not in sequence of length {len(self)}")
-        return self.entries[letter - 1]
-
     def residues(self) -> tuple[int, ...]:
         return tuple([e.residue for e in self.entries])
 
@@ -400,24 +373,6 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
             prev = chosen
         sequences.append(StandardSequence(tuple(entries)))
     return sequences
-
-
-def restrict_sequence(seq: StandardSequence, letter: int) -> frozenset[Cell]:
-    """Union of the sequence's cells for letters <= letter (a scattered set)."""
-    seq.entry(letter)
-    return frozenset(
-        c for e in seq.entries[:letter] for c in e.cells
-    )
-
-
-def lowest_occurrence(seq: StandardSequence, letter: int) -> Cell:
-    """The sequence's letter cell with the smallest row."""
-    return min(seq.entry(letter).cells, key=lambda c: (c.row, c.col))
-
-
-def highest_occurrence(seq: StandardSequence, letter: int) -> Cell:
-    """The sequence's letter cell with the largest row."""
-    return max(seq.entry(letter).cells, key=lambda c: (c.row, c.col))
 
 
 @lru_cache(maxsize=4096)
@@ -501,22 +456,6 @@ def _enumerate_fast(
     return found
 
 
-def _enumerate_oracle(k: int, weight: Sequence[int]) -> list[KTableau]:
-    """The tests' reference for `_enumerate_fast`: brute-forces all
-    fillings of all candidate core shapes and filters by `validate`.  No
-    command reaches it, and its order is not canonical."""
-    n = k + 1
-    m = sum(weight)
-    shapes = [s for s in enumerate_cores(n, m) if k_bounded_hooks(s, k) == m]
-    found = []
-    for shape in shapes:
-        for rows in semistandard_fillings(shape, len(weight)):
-            tab = KTableau(k, rows)
-            if tab.weight == tuple(weight) and validate(tab, weight).ok:
-                found.append(tab)
-    return found
-
-
 def enumerate_k_tableaux(
     k: int, weight: Sequence[int], shape: Partition | None = None
 ) -> list[KTableau]:
@@ -533,7 +472,8 @@ def enumerate_k_tableaux(
     The tableau grows letter by letter, adding every weak strip of the
     letter's size that the k-bounded Pieri rule allows, built run by run
     from the addable residues (see `_weak_strips`).  The tests compare it
-    with the brute-force `_enumerate_oracle`.
+    with a brute-force oracle in `tests/reference.py`, which fills every
+    candidate core and keeps what `validate` accepts.
     """
     k = _strict_k(k)
     weight = tuple(_strict_int(a, "weight part") for a in weight)
@@ -654,10 +594,6 @@ def parse_json_dict(data: dict) -> KTableau:
         if [_strict_int(p, "shape entry") for p in shape] != list(tab.shape):
             raise ValueError(f"shape field {shape} disagrees with rows {list(tab.shape)}")
     return tab
-
-
-def to_json(tab: KTableau) -> str:
-    return json.dumps(to_json_dict(tab))
 
 
 def parse_json(text: str) -> KTableau:

@@ -10,9 +10,10 @@ Two equivalent formulations are implemented for each statistic:
 Both are read off one step rule per standard sequence (`_steps`), which
 returns its ten columns, one per vector: `_walk` freezes them as the
 record that `stat` renders, and the identity checker in `sweeps` reads
-them as they are.  `_walk_literal` builds the same record from the
-literal definitions (`diag`, the addable cells, the residue orders and the
-rebuilt restrictions), as the oracle the step rule is tested against.
+them as they are.  The tests build the same record from the literal
+definitions (the diagonal count, the addable cells, the residue orders and
+the rebuilt restrictions) in `tests/reference.py`, as the oracle the step
+rule is checked against.
 
 Sums are exact integers throughout; generating functions are sparse
 integer polynomials in t.
@@ -25,59 +26,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cores import (
-    Cell,
     Partition,
-    _parse_digits,
     _partition_fault,
     _strict_int,
-    _strict_k,
     partition_sort_key,
     partitions,
-    residue,
     semistandard_fillings,
 )
-from .ktableaux import (
-    KTableau,
-    StandardSequence,
-    enumerate_k_tableaux,
-    highest_occurrence,
-    lowest_occurrence,
-    restrict_sequence,
-    standard_sequences,
-)
+from .ktableaux import KTableau, StandardSequence, enumerate_k_tableaux, standard_sequences
 
 FORMULATIONS = ("lp", "morse")
-
-
-def diag(c1: Cell, c2: Cell, k: int) -> int:
-    """Diagonals of the lower cell's residue strictly between two cells.
-
-    Diagonal indices are col - row; the lower cell is the one with the
-    smaller row (smaller diagonal index on a row tie), and its residue
-    mod k+1 selects which diagonals are counted in the open interval.
-    That residue is the residue of one end of the interval, so the count
-    is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
-    cell is the lower.  k must be an integer of at least 1.
-    """
-    k = _strict_k(k)
-    gap = abs(c1.diagonal - c2.diagonal)
-    return (gap - 1) // (k + 1) if gap else 0
-
-
-def lowest_addable(cells: Iterable[Cell]) -> Cell:
-    """One past the right-most bottom-row cell of the set."""
-    top = max((c.col for c in cells if c.row == 1), default=0)
-    if not top:
-        raise ValueError("cell set has no bottom-row cell")
-    return Cell(1, top + 1)
-
-
-def highest_addable(cells: Iterable[Cell]) -> Cell:
-    """The first column, one row above the highest cell of the set."""
-    top = max((c.row for c in cells), default=0)
-    if not top:
-        raise ValueError("cell set is empty")
-    return Cell(top + 1, 1)
 
 
 def _is_int(value: object) -> bool:
@@ -130,20 +88,6 @@ class ResidueOrder:
 
     def __str__(self) -> str:
         return " > ".join(str(r) for r in self.descending())
-
-
-def low_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
-    """The low order pivoted at the residue mod k+1 of the cells' lowest
-    addable cell; k is read as `diag` reads it."""
-    n = _strict_k(k) + 1
-    return ResidueOrder(n, residue(lowest_addable(cells), n), "low")
-
-
-def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
-    """The high order pivoted at the residue mod k+1 of the cells' highest
-    addable cell; k is read as `diag` reads it."""
-    n = _strict_k(k) + 1
-    return ResidueOrder(n, residue(highest_addable(cells), n), "high")
 
 
 class SequenceReport(NamedTuple):
@@ -203,8 +147,9 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
     * the restriction is never built.  Its lowest addable cell is (1, c+1)
       and its highest addable cell (r+1, 1), on diagonals c and -r;
     * diag_add_low_i / diag_add_high_i: the diagonals of the lower cell's
-      residue between the lowest (highest) cell of letter i and the lowest
-      (highest) addable cell (`diag`);
+      residue strictly between the lowest (highest) cell of letter i and
+      the lowest (highest) addable cell.  That residue is the residue of
+      one end, so a gap of g >= 1 diagonals holds (g - 1) // n of them;
     * L and I, the signed diag rule of the lp formulation: L rises by
       1 + diag_prev_low when the lowest cell of i sits in a higher row than
       that of i-1 and falls by diag_prev_low otherwise; I rises by
@@ -244,8 +189,8 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
             raise ValueError("cell set has no bottom-row cell")
         if high_row > top_row:
             top_row = high_row
-        # Each diag count is `diag` on the two diagonal indices, written
-        # out: (gap - 1) // n for a gap of at least one diagonal.
+        # Each diag count is (gap - 1) // n for a gap of at least one
+        # diagonal between the two diagonal indices.
         low_diag, high_diag = low_col - low_row, high_col - high_row
         gap = abs(low_diag - bottom_col)
         add_low = (gap - 1) // n if gap else 0
@@ -291,38 +236,6 @@ def _walk(seq: StandardSequence, k: int) -> SequenceReport:
     renders the orders."""
     letters = tuple([e.letter for e in seq.entries])
     return SequenceReport(letters, seq.residues(), *map(tuple, _steps(seq, k + 1)))
-
-
-def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
-    """The record of `_walk` by the literal definitions, the oracle that
-    `_steps` is tested against; no command calls it.  Each letter's
-    restriction is rebuilt (`restrict_sequence`), and its addable cells and
-    residue orders are read off the rebuilt cell set, of which the record
-    keeps the pivots."""
-    letters, residues = tuple(e.letter for e in seq.entries), seq.residues()
-    low_at = [lowest_occurrence(seq, i) for i in letters]
-    high_at = [highest_occurrence(seq, i) for i in letters]
-    restricted = [restrict_sequence(seq, i) for i in letters]
-    L, M, I, J, d_prev_low, d_prev_high = [0], [0], [0], [0], [0], [0]
-    low_pivots, high_pivots = [None], [None]
-    for i in range(1, len(seq)):
-        cur, prev = low_at[i], low_at[i - 1]
-        d = diag(cur, prev, k)
-        d_prev_low.append(d)
-        L.append(L[-1] + 1 + d if prev.row < cur.row else L[-1] - d)
-        cur, prev = high_at[i], high_at[i - 1]
-        d = diag(cur, prev, k)
-        d_prev_high.append(d)
-        I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
-        low, high = low_order(restricted[i], k), high_order(restricted[i], k)
-        M.append(M[-1] + low.greater(residues[i], residues[i - 1]))
-        J.append(J[-1] + high.greater(residues[i], residues[i - 1]))
-        low_pivots.append(low.pivot)
-        high_pivots.append(high.pivot)
-    d_add_low = [diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)]
-    d_add_high = [diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)]
-    columns = (L, M, I, J, d_prev_low, d_prev_high, d_add_low, d_add_high, low_pivots, high_pivots)
-    return SequenceReport(letters, residues, *map(tuple, columns))
 
 
 def sequence_reports(tab: KTableau) -> list[SequenceReport]:
@@ -373,10 +286,6 @@ class TPolynomial:
                     self._coeffs[e] = self._coeffs.get(e, 0) + c
             self._coeffs = {e: c for e, c in self._coeffs.items() if c}
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "TPolynomial":
-        return cls({exponent: coefficient})
-
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
@@ -416,14 +325,6 @@ class TPolynomial:
 
     def to_json_dict(self) -> dict[str, int]:
         return {str(e): c for e, c in self.items()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, int]) -> "TPolynomial":
-        """Inverse of `to_json_dict`: exponents are keys written in ASCII
-        digits 0-9, coefficients JSON integers."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-        return cls({_parse_digits(e, "exponent"): c for e, c in data.items()})
 
 
 def _shape_table(charges: Iterable[tuple[Partition, int]]) -> dict[Partition, TPolynomial]:
@@ -535,20 +436,6 @@ def _classical_statistics(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     the cells."""
     charge = classical_charge(rows)
     return charge, sum(map(sum, rows)) - sum(map(len, rows)) - charge
-
-
-def enumerate_ssyt(
-    shape: Partition, weight: Sequence[int]
-) -> list[tuple[tuple[int, ...], ...]]:
-    """All classical semistandard fillings of shape with the exact letter
-    multiplicities given by weight (rows bottom-first).  Weight parts must
-    be non-negative integers."""
-    weight = tuple(_strict_int(a, "weight part") for a in weight)
-    if min(weight, default=0) < 0:
-        raise ValueError(f"weight parts must be non-negative, got {weight}")
-    if sum(weight) != shape.size():
-        return []
-    return list(semistandard_fillings(shape, len(weight), weight))
 
 
 def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:

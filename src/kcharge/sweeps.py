@@ -290,8 +290,14 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
 
 def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> SweepReport:
     """Check every statistics identity over all k-tableaux with k <= max_k
-    and partition weight of size <= max_weight (parts <= k).  At most
-    `processes` worker processes run, never more than the CPU count."""
+    and partition weight of size <= max_weight (parts <= k).  Both bounds
+    must be positive; a zero bound raises ValueError before any task is
+    built, as it would check nothing.  At most `processes` worker processes
+    run, never more than the CPU count."""
+    if max_k < 1:
+        raise ValueError(f"max-k must be positive, got {max_k}")
+    if max_weight < 1:
+        raise ValueError(f"max-weight must be positive, got {max_weight}")
     tasks = [(k, tuple(mu)) for k, mu in weights_up_to(max_k, max_weight)]
     report = SweepReport()
     workers = min(processes, len(tasks), os.cpu_count() or 1)

@@ -3,13 +3,33 @@
 Each is written cell by cell from its definition and shares no loop with
 the library's integer rules: `cores._hook_facts` (one pass over a shape's
 hook lengths, cached), `cores._corner_residues` (the addable corners as
-residues of row numbers) and `ktableaux.to_text` (a cached layout per
-shape, filled with the letters).  A test that compares the two thus
-compares two independent computations.  None of these is part of the
-kcharge API.
+residues of row numbers), `ktableaux.to_text` (a cached layout per shape,
+filled with the letters), `ktableaux._enumerate_fast` (the weak-strip
+grower, checked against `_enumerate_oracle`) and `statistics._steps` (the
+one-pass step rule, checked against `_walk_literal`).  A test that
+compares the two thus compares two independent computations.  The
+restrictions, occurrences, addable cells, residue orders and `diag` are
+the definitions `_walk_literal` reads, and `enumerate_ssyt` the
+classical fillings that the Kostka-Foulkes tests count.  None of these is
+part of the kcharge API.
 """
 
-from kcharge.cores import Cell, Partition, residue
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from kcharge.cores import (
+    Cell,
+    Partition,
+    _strict_int,
+    _strict_k,
+    enumerate_cores,
+    k_bounded_hooks,
+    residue,
+    semistandard_fillings,
+)
+from kcharge.ktableaux import KTableau, SequenceEntry, StandardSequence, validate
+from kcharge.statistics import ResidueOrder, SequenceReport
 
 
 def hook_length(shape, cell):
@@ -72,3 +92,162 @@ def to_text(tab):
         row = tab.rows[i - 1]
         lines.append(" ".join(f"{x}_{residue(Cell(i, j), n)}" for j, x in enumerate(row, start=1)))
     return "\n".join(lines) + "\n"
+
+
+def cells_of(tab: KTableau, letter: int) -> tuple[Cell, ...]:
+    """The cells holding the letter, bottom row first and left to right."""
+    letter = _strict_int(letter, "letter")
+    return tuple(
+        Cell(i, j)
+        for i, row in enumerate(tab.rows, start=1)
+        for j, x in enumerate(row, start=1)
+        if x == letter
+    )
+
+
+def restrict_leq(tab: KTableau, letter: int) -> KTableau:
+    """The sub-tableau on cells with letters <= letter."""
+    letter = _strict_int(letter, "letter")
+    if not 1 <= letter <= tab.n_letters:
+        raise ValueError(f"letter {letter} out of range 1..{tab.n_letters}")
+    kept = []
+    for row in tab.rows:
+        count = sum(1 for x in row if x <= letter)
+        if any(x > letter for x in row[:count]):
+            raise ValueError(f"letters <= {letter} do not form row prefixes")
+        if count:
+            kept.append(row[:count])
+    return KTableau(tab.k, kept)
+
+
+def _enumerate_oracle(k: int, weight: Sequence[int]) -> list[KTableau]:
+    """The tests' reference for `_enumerate_fast`: brute-forces all
+    fillings of all candidate core shapes and filters by `validate`.  Its
+    order is not canonical."""
+    n = k + 1
+    m = sum(weight)
+    shapes = [s for s in enumerate_cores(n, m) if k_bounded_hooks(s, k) == m]
+    found = []
+    for shape in shapes:
+        for rows in semistandard_fillings(shape, len(weight)):
+            tab = KTableau(k, rows)
+            if tab.weight == tuple(weight) and validate(tab, weight).ok:
+                found.append(tab)
+    return found
+
+
+def entry(seq: StandardSequence, letter: int) -> SequenceEntry:
+    """The sequence's entry of the letter, 1..len(seq)."""
+    letter = _strict_int(letter, "letter")
+    if not 1 <= letter <= len(seq.entries):
+        raise ValueError(f"letter {letter} not in sequence of length {len(seq)}")
+    return seq.entries[letter - 1]
+
+
+def restrict_sequence(seq: StandardSequence, letter: int) -> frozenset[Cell]:
+    """Union of the sequence's cells for letters <= letter (a scattered set)."""
+    entry(seq, letter)
+    return frozenset(
+        c for e in seq.entries[:letter] for c in e.cells
+    )
+
+
+def lowest_occurrence(seq: StandardSequence, letter: int) -> Cell:
+    """The sequence's letter cell with the smallest row."""
+    return min(entry(seq, letter).cells, key=lambda c: (c.row, c.col))
+
+
+def highest_occurrence(seq: StandardSequence, letter: int) -> Cell:
+    """The sequence's letter cell with the largest row."""
+    return max(entry(seq, letter).cells, key=lambda c: (c.row, c.col))
+
+
+def diag(c1: Cell, c2: Cell, k: int) -> int:
+    """Diagonals of the lower cell's residue strictly between two cells.
+
+    Diagonal indices are col - row; the lower cell is the one with the
+    smaller row (smaller diagonal index on a row tie), and its residue
+    mod k+1 selects which diagonals are counted in the open interval.
+    That residue is the residue of one end of the interval, so the count
+    is (gap - 1) // (k+1) for a gap of at least one diagonal, whichever
+    cell is the lower.  k must be an integer of at least 1.
+    """
+    k = _strict_k(k)
+    gap = abs(c1.diagonal - c2.diagonal)
+    return (gap - 1) // (k + 1) if gap else 0
+
+
+def lowest_addable(cells: Iterable[Cell]) -> Cell:
+    """One past the right-most bottom-row cell of the set."""
+    top = max((c.col for c in cells if c.row == 1), default=0)
+    if not top:
+        raise ValueError("cell set has no bottom-row cell")
+    return Cell(1, top + 1)
+
+
+def highest_addable(cells: Iterable[Cell]) -> Cell:
+    """The first column, one row above the highest cell of the set."""
+    top = max((c.row for c in cells), default=0)
+    if not top:
+        raise ValueError("cell set is empty")
+    return Cell(top + 1, 1)
+
+
+def low_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
+    """The low order pivoted at the residue mod k+1 of the cells' lowest
+    addable cell; k is read as `diag` reads it."""
+    n = _strict_k(k) + 1
+    return ResidueOrder(n, residue(lowest_addable(cells), n), "low")
+
+
+def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
+    """The high order pivoted at the residue mod k+1 of the cells' highest
+    addable cell; k is read as `diag` reads it."""
+    n = _strict_k(k) + 1
+    return ResidueOrder(n, residue(highest_addable(cells), n), "high")
+
+
+def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
+    """The record of `statistics._walk` by the literal definitions, the
+    oracle that `_steps` is tested against.  Each letter's restriction is
+    rebuilt (`restrict_sequence`), and its addable cells and residue orders
+    are read off the rebuilt cell set, of which the record keeps the
+    pivots."""
+    letters, residues = tuple(e.letter for e in seq.entries), seq.residues()
+    low_at = [lowest_occurrence(seq, i) for i in letters]
+    high_at = [highest_occurrence(seq, i) for i in letters]
+    restricted = [restrict_sequence(seq, i) for i in letters]
+    L, M, I, J, d_prev_low, d_prev_high = [0], [0], [0], [0], [0], [0]
+    low_pivots, high_pivots = [None], [None]
+    for i in range(1, len(seq)):
+        cur, prev = low_at[i], low_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_low.append(d)
+        L.append(L[-1] + 1 + d if prev.row < cur.row else L[-1] - d)
+        cur, prev = high_at[i], high_at[i - 1]
+        d = diag(cur, prev, k)
+        d_prev_high.append(d)
+        I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
+        low, high = low_order(restricted[i], k), high_order(restricted[i], k)
+        M.append(M[-1] + low.greater(residues[i], residues[i - 1]))
+        J.append(J[-1] + high.greater(residues[i], residues[i - 1]))
+        low_pivots.append(low.pivot)
+        high_pivots.append(high.pivot)
+    d_add_low = [diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)]
+    d_add_high = [diag(c, highest_addable(r), k) for c, r in zip(high_at, restricted)]
+    columns = (L, M, I, J, d_prev_low, d_prev_high, d_add_low, d_add_high, low_pivots, high_pivots)
+    return SequenceReport(letters, residues, *map(tuple, columns))
+
+
+def enumerate_ssyt(
+    shape: Partition, weight: Sequence[int]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All classical semistandard fillings of shape with the exact letter
+    multiplicities given by weight (rows bottom-first).  Weight parts must
+    be non-negative integers."""
+    weight = tuple(_strict_int(a, "weight part") for a in weight)
+    if min(weight, default=0) < 0:
+        raise ValueError(f"weight parts must be non-negative, got {weight}")
+    if sum(weight) != shape.size():
+        return []
+    return list(semistandard_fillings(shape, len(weight), weight))

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 
 from kcharge.cores import Cell, Partition, n_stat, partitions, residue
-from kcharge.ktableaux import KTableau, _enumerate_oracle, enumerate_k_tableaux
+from kcharge.ktableaux import KTableau, enumerate_k_tableaux
 from kcharge.statistics import (
     charge_table,
     k_charge,
@@ -18,7 +18,7 @@ from kcharge.statistics import (
     sequence_reports,
 )
 from kcharge.sweeps import run_statistics_sweep
-from reference import addable_corners, is_n_core, k_interior, removable_corners
+from reference import _enumerate_oracle, addable_corners, is_n_core, k_interior, removable_corners
 
 TAB_STANDARD_9 = KTableau(4, [[1, 2, 3, 5, 7, 9], [4, 6], [5, 7], [8]])
 TAB_SEMISTANDARD_13 = KTableau(

@@ -8,11 +8,10 @@ from kcharge.statistics import (
     charge_table,
     classical_charge,
     classical_cocharge,
-    enumerate_ssyt,
     kostka_foulkes_table,
 )
 from kcharge.sweeps import weights_up_to
-from reference import hook_length
+from reference import enumerate_ssyt, hook_length
 
 
 def dominates(lam, mu):
@@ -48,12 +47,12 @@ def test_known_kostka_foulkes_values():
 def test_row_shape_concentrates_at_n_stat():
     for mu in [(1, 1, 1), (2, 1), (2, 2, 1), (3, 1, 1)]:
         table = kostka_foulkes_table(mu)
-        assert table[Partition([sum(mu)])] == TPolynomial.monomial(n_stat(Partition(mu)))
+        assert table[Partition([sum(mu)])] == TPolynomial({n_stat(Partition(mu)): 1})
 
 
 def test_diagonal_entry_is_one():
     for mu in [(2, 1), (2, 2), (3, 1, 1), (2, 2, 1)]:
-        assert kostka_foulkes_table(mu)[Partition(mu)] == TPolynomial.monomial(0)
+        assert kostka_foulkes_table(mu)[Partition(mu)] == TPolynomial({0: 1})
 
 
 def test_cocharge_complements_charge():

@@ -12,16 +12,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kcharge import cli
-from kcharge.ktableaux import (
-    _enumerate_oracle,
-    enumerate_k_tableaux,
-    parse_json,
-    parse_text,
-    to_json,
-    to_text,
-)
+from kcharge.ktableaux import enumerate_k_tableaux, parse_json, parse_text, to_json_dict, to_text
 from kcharge.statistics import ResidueOrder
 from kcharge.sweeps import SweepFailure, SweepReport
+from reference import _enumerate_oracle
 
 EX42_TEXT = "k=4\n8_2\n5_3 7_4\n4_4 6_0\n1_0 2_1 3_2 5_3 7_4 9_0\n"
 EX52_TEXT = (
@@ -309,10 +303,21 @@ def test_verify_small_bounds_pass():
     assert "tableaux checked: 18" in result.stdout
 
 
-def test_verify_empty_bounds_vacuous_pass():
-    result = run_cli("verify", "--max-k", "3", "--max-weight", "0")
-    assert result.returncode == 0
-    assert "tableaux checked: 0" in result.stdout
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--max-k", "0", "--max-weight", "3"], "max-k must be positive, got 0"),
+        (["--max-k", "3", "--max-weight", "0"], "max-weight must be positive, got 0"),
+    ],
+    ids=["max-k", "max-weight"],
+)
+def test_verify_rejects_a_zero_bound(monkeypatch, capsys, argv, message):
+    # A zero bound checks no tableau, so it used to print a vacuous PASS.
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_json_and_threads_env():
@@ -864,7 +869,7 @@ def test_json_output_is_json_dumps_indent_2(monkeypatch, capsys, argv):
 
 def test_text_and_json_forms_round_trip_on_random_tableaux(monkeypatch, capsys, random_tableaux):
     for _, tab in random_tableaux:
-        text, blob = to_text(tab), to_json(tab)
+        text, blob = to_text(tab), json.dumps(to_json_dict(tab))
         assert parse_text(text) == tab
         assert parse_json(blob) == tab
         outputs = []

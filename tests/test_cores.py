@@ -12,7 +12,6 @@ from kcharge.cores import (
     enumerate_cores,
     k_bounded_hooks,
     n_stat,
-    parse_partition,
     partition_sort_key,
     partitions,
     residue,
@@ -77,14 +76,6 @@ def test_partitions_are_checked_partitions():
 def test_partition_text_form():
     assert str(Partition([7, 3, 2, 1, 1])) == "(7,3,2,1,1)"
     assert str(Partition()) == "()"
-    assert parse_partition("(7,3,2,1,1)") == Partition([7, 3, 2, 1, 1])
-    assert parse_partition("()") == Partition()
-    with pytest.raises(ValueError):
-        parse_partition("7,3")
-    # Parts are ASCII digits: no sign, underscore or other digit script.
-    for text in ("(+7,3)", "(7,1_0)", "(\u0667,3)"):
-        with pytest.raises(ValueError, match="digits 0-9"):
-            parse_partition(text)
 
 
 def test_conjugate():
