@@ -246,11 +246,38 @@ def semistandard_fillings(
     """All row-weak, column-strict fillings of shape with letters
     1..n_letters, rows bottom-first, in lexicographic order of the cells
     read bottom row first.  With content, letter i is used exactly
-    content[i-1] times."""
+    content[i-1] times, so there is none unless the content sums to the
+    shape's size.
+
+    The shape is read as `Partition` reads it and n_letters must be a
+    non-negative integer; a content must hold n_letters non-negative
+    integers.  Bools, floats and strings raise ValueError rather than
+    being coerced, all checked once before anything is yielded."""
+    if type(shape) is not Partition:
+        shape = Partition(shape)
+    n_letters = _strict_int(n_letters, "n_letters")
+    if n_letters < 0:
+        raise ValueError(f"n_letters must be non-negative, got {n_letters}")
+    if content is None:
+        # Without a content constraint, no letter can run out.
+        return _semistandard_fillings(shape, n_letters, [shape.size()] * n_letters)
+    content = [_strict_int(c, "content entry") for c in content]
+    if len(content) != n_letters:
+        raise ValueError(f"content must have n_letters={n_letters} entries, got {content}")
+    if min(content, default=0) < 0:
+        raise ValueError(f"content entries must be non-negative, got {content}")
+    if sum(content) != shape.size():
+        return iter(())
+    return _semistandard_fillings(shape, n_letters, content)
+
+
+def _semistandard_fillings(
+    shape: Partition, n_letters: int, remaining: list[int]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """`semistandard_fillings` on checked arguments; remaining[i-1] is how
+    many more times letter i may be used, and is updated in place."""
     cells = list(shape.cells())
     grid = [[0] * part for part in shape]
-    # Without a content constraint, no letter can run out.
-    remaining = [len(cells)] * n_letters if content is None else list(content)
     pos = 0
     while pos >= 0:
         if pos == len(cells):

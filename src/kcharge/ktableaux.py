@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le, lt
+from operator import attrgetter, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
@@ -226,6 +226,17 @@ class ValidationReport:
 _VALID = ValidationReport(True)
 
 
+def _weakly_increasing(row: tuple[int, ...]) -> bool:
+    """Each letter of the row is at most the one right of it."""
+    return all(map(le, row, row[1:]))
+
+
+def _strictly_below(lower: tuple[int, ...], upper: tuple[int, ...]) -> bool:
+    """Each letter of the lower row is less than the one above it, up to
+    the shorter (upper) row's end."""
+    return all(map(lt, lower, upper))
+
+
 def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationReport:
     """Check all k-tableau invariants; never raises.
 
@@ -247,15 +258,15 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     # cell, rows bottom-first and then columns left to right, to name the
     # first offending cell in that order.
     rows = tab.rows
-    if not all([all(map(le, row, row[1:])) for row in rows]):
+    if not all(map(_weakly_increasing, rows)):
         for i, row in enumerate(rows, start=1):
             for j in range(1, len(row)):
                 if row[j] < row[j - 1]:
                     return ValidationReport(
                         False, "row decreases left-to-right", Cell(i, j + 1)
                     )
-    # Each row against the row above it, up to the shorter (upper) row's end.
-    if not all([all(map(lt, lower, upper)) for lower, upper in zip(rows, rows[1:])]):
+    # Each row against the row above it.
+    if not all(map(_strictly_below, rows, rows[1:])):
         conj = tab.shape.conjugate()
         for j in range(1, tab.shape[0] + 1):
             for i in range(1, conj[j - 1]):
@@ -348,9 +359,13 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
 
     # Letter 1's classes in the order the sequences start from them: by
     # their right-most cell, right to left (a tie keeps set order, as a
-    # `max` over the unused classes would).
+    # `max` over the unused classes would).  One class needs no order.
     ones = groups[0]
-    starts = sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
+    starts = (
+        list(ones)
+        if len(ones) == 1
+        else sorted(set(ones), key=lambda r: max([col for _, col in ones[r]]), reverse=True)
+    )
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups[1:]]
@@ -363,12 +378,16 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
         for letter, classes in enumerate(unused, start=2):
             if not classes:
                 break
-            # The unused class nearest counter-clockwise from prev.
-            nearest = n
-            for res in classes:
-                if (prev - res) % n < nearest:
-                    chosen, nearest = res, (prev - res) % n
-            classes.discard(chosen)
+            if len(classes) == 1:
+                # The only unused class is the nearest.
+                chosen = classes.pop()
+            else:
+                # The unused class nearest counter-clockwise from prev.
+                nearest = n
+                for res in classes:
+                    if (prev - res) % n < nearest:
+                        chosen, nearest = res, (prev - res) % n
+                classes.discard(chosen)
             entries.append(entry(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
             prev = chosen
         sequences.append(StandardSequence(tuple(entries)))
@@ -484,9 +503,17 @@ def enumerate_k_tableaux(
     if shape is not None:
         shape = Partition(shape)
     found = _enumerate_fast(k, weight, shape)
-    # Tableaux of one shape have equal row lengths, so comparing the rows
-    # orders them exactly as their bottom-to-top reading words.
-    return sorted(found, key=lambda tab: (partition_sort_key(tab.shape), tab.rows))
+    # The distinct shapes are sorted once, each by one key, and then each
+    # shape's tableaux.  Tableaux of one shape have equal row lengths, so
+    # comparing the rows orders them exactly as their bottom-to-top
+    # reading words.
+    groups: dict[Partition, list[KTableau]] = {}
+    for tab in found:
+        groups.setdefault(tab.shape, []).append(tab)
+    ordered: list[KTableau] = []
+    for grown in sorted(groups, key=partition_sort_key):
+        ordered += sorted(groups[grown], key=attrgetter("rows"))
+    return ordered
 
 
 def _text_layout(k: int, shape: Partition) -> str:

@@ -21,6 +21,7 @@ integer polynomials in t.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -365,61 +366,52 @@ def charge_table(
     )
 
 
-def _tableau_weight(rows: Sequence[Sequence[int]]) -> list[int]:
-    """How many times each letter 1..max occurs; letters below 1 raise."""
-    top = max((x for row in rows for x in row), default=0)
-    counts = [0] * top
-    for row in rows:
-        for x in row:
-            if x < 1:
-                raise ValueError(f"letters must be positive, got {x}")
-            counts[x - 1] += 1
-    return counts
-
-
-def _standard_subword(word: list[int], top: int) -> list[int]:
-    """Positions of one standard subword 1..top, scanning right-to-left
-    cyclically from each chosen letter."""
-    pos = len(word) - 1
-    while word[pos] != 1:
-        pos -= 1
-    chosen = [pos]
-    for target in range(2, top + 1):
-        probe = (pos - 1) % len(word)
-        while word[probe] != target:
-            probe = (probe - 1) % len(word)
-        chosen.append(probe)
-        pos = probe
-    return chosen
-
-
-def _standard_word_charge(positions: Sequence[int]) -> int:
-    """Charge of a standard word given the position of each letter 1..m:
-    the running index rises when the next letter sits to the right."""
-    total, current = 0, 0
-    for prev, cur in zip(positions, positions[1:]):
-        if cur > prev:
-            current += 1
-        total += current
-    return total
-
-
 def classical_charge(rows: Sequence[Sequence[int]]) -> int:
     """Charge of a classical semistandard tableau (rows bottom-first).
 
     The reading word takes rows top to bottom, each left to right; it is
-    split into standard subwords whose charges are summed.
+    split into standard subwords whose charges are summed.  Letters are
+    read as `KTableau` reads them: every letter must be an integer (bools,
+    floats and strings raise ValueError), and then positive, and the
+    weight a partition.
+
+    The word is never rebuilt.  One pass lists each letter's positions in
+    ascending order, and each subword takes positions out of those lists:
+    the right-most 1, then for each next letter its nearest position to
+    the left of the previous one, or its right-most when none is left of
+    it.  Only such a wrap moves right, and each wrap raises the running
+    index that the subword's charge sums.
     """
-    counts = _tableau_weight(rows)
+    # Exact ints skip `_strict_int`, as in `KTableau`.
+    rows = [[x if type(x) is int else _strict_int(x, "letter") for x in row] for row in rows]
+    word = [x for row in reversed(rows) for x in row]
+    if min(word, default=1) < 1:
+        bad = next(x for row in rows for x in row if x < 1)
+        raise ValueError(f"letters must be positive, got {bad}")
+    positions: list[list[int]] = [[] for _ in range(max(word, default=0))]
+    for pos, x in enumerate(word):
+        positions[x - 1].append(pos)
+    counts = list(map(len, positions))
     if _partition_fault(counts):
         raise ValueError(f"weight {counts} is not a partition")
-    word = [x for row in reversed(list(rows)) for x in row]
+    if not positions:
+        return 0
+    ones, *later = positions
     total = 0
-    while word:
-        chosen = _standard_subword(word, max(word))
-        total += _standard_word_charge(chosen)
-        keep = set(chosen)
-        word = [x for i, x in enumerate(word) if i not in keep]
+    # A partition weight runs each letter out no later than the one before.
+    while ones:
+        pos = ones.pop()
+        current = 0
+        for unused in later:
+            if not unused:
+                break
+            i = bisect_left(unused, pos)
+            if i:
+                pos = unused.pop(i - 1)
+            else:
+                pos = unused.pop()
+                current += 1
+            total += current
     return total
 
 

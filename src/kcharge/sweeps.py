@@ -107,7 +107,31 @@ IDENTITIES = (
     LARGE_K := Identity("large k degenerates to a classical tableau", "large-k tableau", 12),
     CLASSICAL := Identity("large-k charge matches the classical statistic", "large-k tableau", 13),
 )
-_PERS = tuple(identity.per for identity in IDENTITIES)
+# How many identities are checked once per unit, read once from the
+# declaration; a unit that is not listed here fails the import.
+_PER_UNIT = dict.fromkeys(
+    (
+        "tableau",
+        "standard sequence",
+        "letter",
+        "entry",
+        "standard tableau",
+        "standard letter",
+        "large-k tableau",
+    ),
+    0,
+)
+for _identity in IDENTITIES:
+    _PER_UNIT[_identity.per] += 1
+(
+    _PER_TABLEAU,
+    _PER_SEQUENCE,
+    _PER_LETTER,
+    _PER_ENTRY,
+    _PER_STANDARD_TABLEAU,
+    _PER_STANDARD_LETTER,
+    _PER_LARGE_K,
+) = _PER_UNIT.values()
 
 
 def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
@@ -117,7 +141,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     The facts are read in fused passes.  Each standard sequence is read as
     `_walk` reads it: `statistics._steps` returns its ten columns, which
     give the four totals, each sequence's L and I entries and the diagonal
-    vectors.  The letter pass, over letters 1..n_letters, gives each
+    vectors.  The letter pass, over letters 1..max, gives each
     restriction's shape, each letter's cell count and, on a standard
     tableau, both diagonal rules.  The entry pass, over the entries of the
     standard sequences, gives the partition of the cells and each entry's
@@ -130,7 +154,9 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     111,468 standard sequences of `verify --max-k 7 --max-weight 10`).
 
     A failing check records its identity and its detail, rendered only in
-    the failing branch; the failures are put in order at the end.
+    the failing branch; the failures are put in order at the end.  The
+    count of identities checked is the per-unit totals of `IDENTITIES`
+    times the units this tableau has.
     """
     k = tab.k
     n = k + 1
@@ -140,9 +166,6 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     lam = tab.shape
     # (identity, detail) of each failure, in the order the passes find them.
     found: list[tuple[Identity, str]] = []
-
-    def fail(identity: Identity, detail: str) -> None:
-        found.append((identity, detail))
 
     cocharge_lp = charge_lp = cocharge_morse = charge_morse = 0
     # Per sequence, the lp columns and the diagonal corrections.
@@ -158,18 +181,18 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     interior = lam.size() - _hook_facts(lam, n)[1]
 
     if cocharge_lp != cocharge_morse:
-        fail(COCHARGE_AGREE, f"lp={cocharge_lp} morse={cocharge_morse}")
+        found.append((COCHARGE_AGREE, f"lp={cocharge_lp} morse={cocharge_morse}"))
     if charge_lp != charge_morse:
-        fail(CHARGE_AGREE, f"lp={charge_lp} morse={charge_morse}")
+        found.append((CHARGE_AGREE, f"lp={charge_lp} morse={charge_morse}"))
     if charge_morse + cocharge_morse != n_weight - interior:
-        fail(DUALITY, f"{charge_morse} + {cocharge_morse} != {n_weight} - {interior}")
+        found.append((DUALITY, f"{charge_morse} + {cocharge_morse} != {n_weight} - {interior}"))
     if charge_lp < 0:
-        fail(LP_CHARGE, f"charge={charge_lp}")
+        found.append((LP_CHARGE, f"charge={charge_lp}"))
     if cocharge_lp < 0:
-        fail(LP_COCHARGE, f"cocharge={cocharge_lp}")
+        found.append((LP_COCHARGE, f"cocharge={cocharge_lp}"))
     for L, I, _, _ in walks:
         if min(L) < 0 or min(I) < 0:
-            fail(LP_ENTRIES, f"L {L} / I {I}")
+            found.append((LP_ENTRIES, f"L {L} / I {I}"))
 
     # The letter pass.  The restriction to letters <= i keeps each row's
     # count of them.  On a standard tableau each letter spans one residue,
@@ -182,16 +205,16 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
         # residue -> the diagonals of that residue met by letters <= i.
         meeting: dict[int, set[int]] = {}
     by_letter = tab._letter_index()
+    letters = range(1, max(by_letter, default=0) + 1)
     row_counts = [0] * len(tab.rows)
-    sizes = []
-    for i in range(1, tab.n_letters + 1):
+    hook_facts = _hook_facts
+    for i in letters:
         cells = by_letter.get(i, ())
-        sizes.append(len(cells))
         for row, _ in cells:
             row_counts[row - 1] += 1
         counts = tuple(filter(None, row_counts))
-        if _hook_facts(counts, n)[0] is not None:
-            fail(CORE, f"restriction to {i} has shape {Partition(counts)}")
+        if hook_facts(counts, n)[0] is not None:
+            found.append((CORE, f"restriction to {i} has shape {Partition(counts)}"))
         if standard:
             up_row, up_col = cells[-1]
             res = (up_col - up_row) % n
@@ -209,10 +232,11 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                 lo, hi = sorted((up_col - up_row, down_col - down_row))
                 between = range(lo + n, hi, n)
                 if not letter_diags.issuperset(between):
-                    fail(FILLING, f"letter {i} misses a residue-{res} diagonal in {list(between)}")
+                    detail = f"letter {i} misses a residue-{res} diagonal in {list(between)}"
+                    found.append((FILLING, detail))
             count = len(cells) + d_high[i - 1] + d_low[i - 1]
             if count != len(met):
-                fail(MEETING, f"letter {i}: {count} != {len(met)}")
+                found.append((MEETING, f"letter {i}: {count} != {len(met)}"))
 
     # The entry pass.
     seen: set[Cell] = set()
@@ -230,37 +254,39 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
                     and len(set(rows)) == len(rows)
                     and len(set(cols)) == len(cols)
                 ):
-                    fail(ENTRY, f"letter {letter} cells {sorted(cells)}")
+                    found.append((ENTRY, f"letter {letter} cells {sorted(cells)}"))
     if not covered == len(seen) == lam.size():
-        fail(PARTITION, f"{covered} cells over sequences vs {lam.size()} in shape")
+        found.append((PARTITION, f"{covered} cells over sequences vs {lam.size()} in shape"))
 
     letter1 = by_letter.get(1, ())
     # The letter index lists cells bottom row first, left to right.
     if letter1 != letter1_expected:
-        fail(LETTER_1, f"letter-1 cells {sorted(letter1)}")
+        found.append((LETTER_1, f"letter-1 cells {sorted(letter1)}"))
 
     if standard and charge_morse != m * (m - 1) // 2 - interior - cocharge_morse:
-        fail(STANDARD_DUALITY, f"{charge_morse} != {m}*{m - 1}/2 - {interior} - {cocharge_morse}")
+        detail = f"{charge_morse} != {m}*{m - 1}/2 - {interior} - {cocharge_morse}"
+        found.append((STANDARD_DUALITY, detail))
 
     large = k > (lam[0] if lam else 0) + len(lam) - 2
     if large:
-        counts = tuple(sizes)
+        counts = tuple([len(by_letter.get(i, ())) for i in letters])
         if counts != tuple(mu):
-            fail(LARGE_K, f"cell counts {counts} vs weight {tuple(mu)}")
+            found.append((LARGE_K, f"cell counts {counts} vs weight {tuple(mu)}"))
         classical = _classical_statistics(tab.rows)
         if (charge_morse, cocharge_morse) != classical:
-            fail(CLASSICAL, f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}")
+            detail = f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}"
+            found.append((CLASSICAL, detail))
 
-    units = {
-        "tableau": 1,
-        "standard sequence": len(seqs),
-        "letter": len(sizes),
-        "entry": entries,
-        "standard tableau": standard,
-        "standard letter": m if standard else 0,
-        "large-k tableau": large,
-    }
-    checked = sum(map(units.__getitem__, _PERS))
+    checked = (
+        _PER_TABLEAU
+        + _PER_SEQUENCE * len(seqs)
+        + _PER_LETTER * len(letters)
+        + _PER_ENTRY * entries
+    )
+    if standard:
+        checked += _PER_STANDARD_TABLEAU + _PER_STANDARD_LETTER * m
+    if large:
+        checked += _PER_LARGE_K
     if not found:
         return checked, []
     found.sort(key=lambda failure: failure[0].position)
@@ -270,22 +296,23 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
 
 def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     k, weight = args
-    report = SweepReport()
     # Popped one at a time, so each tableau and its indexes are freed once
     # checked, in canonical order.
     tableaux = enumerate_k_tableaux(k, weight)
     tableaux.reverse()
+    subjects = len(tableaux)
+    # Each tableau's validation is one identity.
+    identities = subjects
+    failed: list[SweepFailure] = []
     while tableaux:
         tab = tableaux.pop()
         ok = validate(tab, weight)
-        report.identities_checked += 1
         if not ok:
-            report.failures.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
+            failed.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
         checked, failures = check_tableau_identities(tab)
-        report.subjects_checked += 1
-        report.identities_checked += checked
-        report.failures.extend(failures)
-    return report
+        identities += checked
+        failed += failures
+    return SweepReport(subjects, identities, failed)
 
 
 def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> SweepReport:

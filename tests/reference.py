@@ -5,8 +5,10 @@ the library's integer rules: `cores._hook_facts` (one pass over a shape's
 hook lengths, cached), `cores._corner_residues` (the addable corners as
 residues of row numbers), `ktableaux.to_text` (a cached layout per shape,
 filled with the letters), `ktableaux._enumerate_fast` (the weak-strip
-grower, checked against `_enumerate_oracle`) and `statistics._steps` (the
-one-pass step rule, checked against `_walk_literal`).  A test that
+grower, checked against `_enumerate_oracle`), `statistics._steps` (the
+one-pass step rule, checked against `_walk_literal`) and
+`statistics.classical_charge` (per-letter position lists, checked against
+`classical_charge_literal`, which rebuilds the word).  A test that
 compares the two thus compares two independent computations.  The
 restrictions, occurrences, addable cells, residue orders and `diag` are
 the definitions `_walk_literal` reads, and `enumerate_ssyt` the
@@ -21,6 +23,7 @@ from typing import Iterable, Sequence
 from kcharge.cores import (
     Cell,
     Partition,
+    _partition_fault,
     _strict_int,
     _strict_k,
     enumerate_cores,
@@ -239,6 +242,63 @@ def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
     return SequenceReport(letters, residues, *map(tuple, columns))
 
 
+def _tableau_weight(rows: Sequence[Sequence[int]]) -> list[int]:
+    """How many times each letter 1..max occurs; letters below 1 raise."""
+    top = max((x for row in rows for x in row), default=0)
+    counts = [0] * top
+    for row in rows:
+        for x in row:
+            if x < 1:
+                raise ValueError(f"letters must be positive, got {x}")
+            counts[x - 1] += 1
+    return counts
+
+
+def _standard_subword(word: list[int], top: int) -> list[int]:
+    """Positions of one standard subword 1..top, scanning right-to-left
+    cyclically from each chosen letter."""
+    pos = len(word) - 1
+    while word[pos] != 1:
+        pos -= 1
+    chosen = [pos]
+    for target in range(2, top + 1):
+        probe = (pos - 1) % len(word)
+        while word[probe] != target:
+            probe = (probe - 1) % len(word)
+        chosen.append(probe)
+        pos = probe
+    return chosen
+
+
+def _standard_word_charge(positions: Sequence[int]) -> int:
+    """Charge of a standard word given the position of each letter 1..m:
+    the running index rises when the next letter sits to the right."""
+    total, current = 0, 0
+    for prev, cur in zip(positions, positions[1:]):
+        if cur > prev:
+            current += 1
+        total += current
+    return total
+
+
+def classical_charge_literal(rows: Sequence[Sequence[int]]) -> int:
+    """The charge of `statistics.classical_charge` by the literal
+    extraction, its oracle: the reading word (rows top to bottom, each left
+    to right) loses one standard subword at a time, and is rebuilt without
+    it before the next is read."""
+    counts = _tableau_weight(rows)
+    if _partition_fault(counts):
+        raise ValueError(f"weight {counts} is not a partition")
+    word = [x for row in reversed(list(rows)) for x in row]
+    total = 0
+    while word:
+        chosen = _standard_subword(word, max(word))
+        total += _standard_word_charge(chosen)
+        keep = set(chosen)
+        word = [x for i, x in enumerate(word) if i not in keep]
+    return total
+
+
 def enumerate_ssyt(
     shape: Partition, weight: Sequence[int]
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -248,6 +308,4 @@ def enumerate_ssyt(
     weight = tuple(_strict_int(a, "weight part") for a in weight)
     if min(weight, default=0) < 0:
         raise ValueError(f"weight parts must be non-negative, got {weight}")
-    if sum(weight) != shape.size():
-        return []
     return list(semistandard_fillings(shape, len(weight), weight))

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from kcharge import statistics
@@ -11,7 +13,12 @@ from kcharge.statistics import (
     kostka_foulkes_table,
 )
 from kcharge.sweeps import weights_up_to
-from reference import enumerate_ssyt, hook_length
+from reference import (
+    _standard_subword,
+    classical_charge_literal,
+    enumerate_ssyt,
+    hook_length,
+)
 
 
 def dominates(lam, mu):
@@ -23,6 +30,32 @@ def dominates(lam, mu):
         if partial_l < partial_m:
             return False
     return True
+
+
+def test_charge_is_the_literal_extraction_on_every_small_tableau():
+    # Every semistandard tableau of every partition weight of size <= 9,
+    # read from per-letter position lists and by rebuilding the word.
+    tableaux = 0
+    for size in range(1, 10):
+        for mu in partitions(size):
+            for lam in partitions(size):
+                for rows in enumerate_ssyt(lam, mu):
+                    assert classical_charge(rows) == classical_charge_literal(rows), rows
+                    tableaux += 1
+    assert tableaux == 9437
+
+
+def test_charge_is_the_literal_extraction_on_every_short_word():
+    # Any word of partition content, read as one row, whether or not it is
+    # weakly increasing, so a subword may wrap at any letter.
+    words = 0
+    for size in range(1, 8):
+        for mu in partitions(size):
+            letters = [x for x, part in enumerate(mu, start=1) for _ in range(part)]
+            for word in set(permutations(letters)):
+                assert classical_charge([word]) == classical_charge_literal([word]), word
+                words += 1
+    assert words == 13390
 
 
 def test_charge_extremes():
@@ -114,6 +147,26 @@ def test_charge_requires_partition_weight():
 def test_non_partition_weight_is_named_alike(statistic, rows, message):
     # Cocharge is read off the charge computation, so both statistics name
     # the weight, not the Partition built from it.
+    with pytest.raises(ValueError) as exc:
+        statistic(rows)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[1.0]], "letter must be an integer, got 1.0"),
+        ([[True]], "letter must be an integer, got True"),
+        ([[1, 1], ["2"]], "letter must be an integer, got '2'"),
+        # Every letter's type is checked before any letter's sign.
+        ([[0, 1], [2.0]], "letter must be an integer, got 2.0"),
+        ([[1, 2.5], [False]], "letter must be an integer, got 2.5"),
+    ],
+)
+@pytest.mark.parametrize("statistic", [classical_charge, classical_cocharge])
+def test_non_integer_letter_is_named(statistic, rows, message):
+    # Letters are read as KTableau reads them, bottom row first.  A float
+    # used to reach a TypeError and a bool to be counted as the letter 1.
     with pytest.raises(ValueError) as exc:
         statistic(rows)
     assert str(exc.value) == message
@@ -282,7 +335,7 @@ def _classical_subwords(rows):
     word = [x for row in reversed(rows) for x in row]
     subwords = []
     while word:
-        chosen = statistics._standard_subword(word, max(word))
+        chosen = _standard_subword(word, max(word))
         subwords.append([cells[p] for p in chosen])
         keep = set(chosen)
         word = [x for p, x in enumerate(word) if p not in keep]

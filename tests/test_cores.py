@@ -15,6 +15,7 @@ from kcharge.cores import (
     partition_sort_key,
     partitions,
     residue,
+    semistandard_fillings,
 )
 from reference import addable_corners, hook_length, is_n_core, k_interior, removable_corners
 
@@ -386,3 +387,62 @@ def test_canonical_order_is_size_then_reverse_lex():
         Partition([5, 2, 1]),
         Partition([6, 3]),
     ]
+
+
+@pytest.mark.parametrize("content", [[5, 5], [0, 3], [1, 1]])
+def test_fillings_with_another_content_sum_are_none(content):
+    # A content that does not sum to the shape's size used to yield every
+    # filling that used each letter at most that often.
+    assert list(semistandard_fillings(Partition([2, 1]), 2, content)) == []
+
+
+def test_fillings_use_each_letter_exactly_as_often_as_the_content_says():
+    for size in range(1, 7):
+        for shape in partitions(size):
+            everything = list(semistandard_fillings(shape, 3))
+            for a in range(size + 1):
+                for b in range(size + 1 - a):
+                    content = (a, b, size - a - b)
+                    expected = [
+                        rows
+                        for rows in everything
+                        if tuple(sum(row.count(x) for row in rows) for x in (1, 2, 3)) == content
+                    ]
+                    assert list(semistandard_fillings(shape, 3, content)) == expected
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((Partition([2, 1]), 2, [-1, 4]), "content entries must be non-negative, got [-1, 4]"),
+        ((Partition([2, 1]), 2, [1.5, 1.5]), "content entry must be an integer, got 1.5"),
+        ((Partition([2, 1]), 2, [True, 2]), "content entry must be an integer, got True"),
+        ((Partition([2, 1]), 3, [1]), "content must have n_letters=3 entries, got [1]"),
+        ((Partition([2, 1]), 1, [1, 2]), "content must have n_letters=1 entries, got [1, 2]"),
+        ((Partition([2, 1]), 2.0), "n_letters must be an integer, got 2.0"),
+        ((Partition([2, 1]), True), "n_letters must be an integer, got True"),
+        ((Partition(), -3), "n_letters must be non-negative, got -3"),
+        (([1, 2], 2), "parts must be weakly decreasing, got (1, 2)"),
+    ],
+    ids=[
+        "negative-entry",
+        "float-entry",
+        "bool-entry",
+        "short-content",
+        "long-content",
+        "float-letters",
+        "bool-letters",
+        "negative-letters",
+        "non-partition-shape",
+    ],
+)
+def test_filling_arguments_are_read_strictly(args, message):
+    # Checked at the call, before anything is yielded.
+    with pytest.raises(ValueError) as exc:
+        semistandard_fillings(*args)
+    assert str(exc.value) == message
+
+
+def test_fillings_read_a_list_shape_as_a_partition():
+    assert list(semistandard_fillings([2, 1], 2)) == [((1, 1), (2,)), ((1, 2), (2,))]
+    assert list(semistandard_fillings([2, 1], 2, [2, 1])) == [((1, 1), (2,))]
