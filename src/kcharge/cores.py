@@ -8,8 +8,9 @@ All values are immutable; every function here is pure.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Coordinates must fit comfortably in machine words; sums (polynomial
 # coefficients, statistics) are plain Python ints and may grow freely.
@@ -56,9 +57,8 @@ def _partition_fault(parts: Sequence[int]) -> str | None:
     return None
 
 
-class Cell(NamedTuple):
-    row: int
-    col: int
+class Cell(namedtuple("Cell", "row col")):
+    __slots__ = ()
 
     @property
     def diagonal(self) -> int:

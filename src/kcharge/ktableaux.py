@@ -8,10 +8,11 @@ stored bottom-first to match the (row, col) cell convention of `cores`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter, le, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cores import (
     Cell,
@@ -31,11 +32,19 @@ from .cores import (
 # most 10 cells.
 _SHARED_ROW_CELLS = 64
 
+# The largest shape, in cells, whose text layout and reading layout are
+# kept (`_kept_text_layout`, `_kept_reading_layout`); a larger shape's
+# layout is made for its call alone.  The (k, shape) pairs a process reads
+# repeat: 381 among the 1,829 tableaux of the benchmark's `enumerate`
+# family, 131 among the 3,153 of its `stat` pool, 134 among the 1,211 of
+# 5/7 and 331 among the 12,981 of 6/9, whose shapes have at most 45 cells.
+_KEPT_LAYOUT_CELLS = 64
+
 
 def _row_cells(i: int, length: int) -> Iterator[tuple[Cell, frozenset[Cell]]]:
     """(Cell(i, j), frozenset({Cell(i, j)})) for j = 1..length, one pair
     at a time.  Each `Cell` is made as a plain tuple, without the
-    Python-level `__new__` of a NamedTuple.  A row longer than
+    Python-level `__new__` of a named tuple.  A row longer than
     `_SHARED_ROW_CELLS` is read from here directly, so its pairs are never
     held all at once."""
     make = tuple.__new__
@@ -46,15 +55,41 @@ def _row_cells(i: int, length: int) -> Iterator[tuple[Cell, frozenset[Cell]]]:
 
 @lru_cache(maxsize=4096)
 def _cell_row(i: int, length: int) -> tuple[tuple[Cell, frozenset[Cell]], ...]:
-    """The pairs of `_row_cells(i, length)`, shared by every tableau with a
-    row i of that length.
+    """The pairs of `_row_cells(i, length)`, shared by every reading
+    layout with a row i of that length.
 
-    The rows of a sweep's tableaux repeat: a cold `verify --max-k 5
-    --max-weight 7` reads 28 distinct keys and 6/9 reads 45, so the cache
-    of the 4,096 most recent keys makes each row's cells about once per
-    process.  It holds no letters, so the index that reads it stays
-    independent of how the tableau was built."""
+    Only a layout that is made reads it, and the rows of a sweep's shapes
+    repeat: a cold `verify --max-k 5 --max-weight 7` reads 28 distinct keys
+    among 446 rows and 6/9 reads 45 among 1,334, so the cache of the 4,096
+    most recent keys makes each row's cells about once per process.  It
+    holds no letters, so the index that reads it stays independent of how
+    the tableau was built."""
     return tuple(_row_cells(i, length))
+
+
+def _reading_layout(k: int, shape: Partition) -> Iterator[tuple[Cell, frozenset[Cell], int]]:
+    """(cell, its one-cell class, its (k+1)-residue) for each cell of
+    shape in reading order, bottom row first, left to right.  The cells and
+    classes are the shared pairs of `_cell_row`, or the streamed ones of
+    `_row_cells` for a row longer than `_SHARED_ROW_CELLS`."""
+    n = k + 1
+    for i, length in enumerate(shape, start=1):
+        res = (1 - i) % n  # the residue of the cell (i, 1)
+        pairs = _cell_row(i, length) if length <= _SHARED_ROW_CELLS else _row_cells(i, length)
+        for cell, one in pairs:
+            yield cell, one, res
+            res += 1
+            if res == n:
+                res = 0
+
+
+@lru_cache(maxsize=1024)
+def _kept_reading_layout(
+    k: int, shape: Partition
+) -> tuple[tuple[Cell, frozenset[Cell], int], ...]:
+    """`_reading_layout(k, shape)`, shared by every tableau of that k and
+    shape of at most `_KEPT_LAYOUT_CELLS` cells.  It holds no letters."""
+    return tuple(_reading_layout(k, shape))
 
 
 class KTableau:
@@ -74,12 +109,13 @@ class KTableau:
     by `n_letters` and `validate`), and for each letter present the map
     residue -> that letter's cells of the residue (read by `validate` and
     `standard_sequences`).  Both have one key per letter present, so a
-    huge letter costs no more than a small one.  The index entries are
-    the `Cell`s and one-cell classes of `_cell_row`, shared by every
-    tableau with a row of the same position and length, so the pass makes
-    no `Cell` and no frozenset per cell.  The same pass records the weight,
-    each letter's class count, which `weight`, `validate`,
-    `standard_sequences` and the sweep checks read without counting again.
+    huge letter costs no more than a small one.  The pass reads the
+    shape's `_reading_layout`, whose entries are the `Cell`s and one-cell
+    classes of `_cell_row`, shared by every tableau with a row of the same
+    position and length, so it makes no `Cell` and no frozenset per cell.
+    The same pass records the weight, each letter's class count, which
+    `weight`, `validate`, `standard_sequences` and the sweep checks read
+    without counting again.
     """
 
     # The indexes and the weight are derived from rows, so equality and
@@ -134,47 +170,39 @@ class KTableau:
         """Both indexes and the weight, from one pass over the cells in
         reading order.
 
-        Each row's cells and their one-cell classes come from the shared
-        `_cell_row`, so no `Cell` and no frozenset is made per cell, and
-        the residue steps along the row; a row too long to share streams
-        them from `_row_cells`.  A letter's first cell of a residue takes
-        that cell's shared one-cell frozenset; only a second cell turns the
-        class into a list, and each such list is frozen once at the end.
+        The reading word is read against the shape's `_reading_layout`,
+        which gives each cell, its one-cell class and its residue, so no
+        `Cell` and no frozenset is made per cell.  The layout of a shape of
+        at most `_KEPT_LAYOUT_CELLS` cells is kept and shared by every
+        tableau of that k and shape; a larger one is streamed for this
+        pass alone.  A letter's first cell of a residue takes that cell's
+        shared one-cell frozenset; only a second cell turns the class into
+        a list, and each such list is frozen once at the end.
         The weight is recorded only when the letters are 1..r with none
         missing; otherwise `_weight` is None and `weight` spells out the
         zeros on request, so a huge letter costs nothing here."""
-        n = self.k + 1
+        shape = self.shape
+        layout = _kept_reading_layout if sum(shape) <= _KEPT_LAYOUT_CELLS else _reading_layout
         by_letter: dict[int, list[Cell]] = {}
         by_residue: dict[int, dict[int, list[Cell] | frozenset[Cell]]] = {}
         # (classes, residue) of each class with more than one cell.
         grown: list[tuple[dict[int, list[Cell] | frozenset[Cell]], int]] = []
-        for i, row in enumerate(self.rows, start=1):
-            res = (1 - i) % n
-            length = len(row)
-            shared = (
-                _cell_row(i, length)
-                if length <= _SHARED_ROW_CELLS
-                else _row_cells(i, length)
-            )
-            for x, (cell, one) in zip(row, shared):
-                cells = by_letter.get(x)
-                if cells is None:
-                    by_letter[x] = [cell]
-                    by_residue[x] = {res: one}
+        for x, (cell, one, res) in zip(chain.from_iterable(self.rows), layout(self.k, shape)):
+            cells = by_letter.get(x)
+            if cells is None:
+                by_letter[x] = [cell]
+                by_residue[x] = {res: one}
+            else:
+                cells.append(cell)
+                classes = by_residue[x]
+                same = classes.get(res)
+                if same is None:
+                    classes[res] = one
+                elif type(same) is list:
+                    same.append(cell)
                 else:
-                    cells.append(cell)
-                    classes = by_residue[x]
-                    same = classes.get(res)
-                    if same is None:
-                        classes[res] = one
-                    elif type(same) is list:
-                        same.append(cell)
-                    else:
-                        classes[res] = [*same, cell]
-                        grown.append((classes, res))
-                res += 1
-                if res == n:
-                    res = 0
+                    classes[res] = [*same, cell]
+                    grown.append((classes, res))
         for classes, res in grown:
             classes[res] = frozenset(classes[res])
         self._by_letter = {x: tuple(cells) for x, cells in by_letter.items()}
@@ -212,17 +240,19 @@ class KTableau:
             return tuple([len(index.get(x, ())) for x in range(1, max(index) + 1)])
         return self._weight
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problem: str | None = None
-    cell: Cell | None = None
+class ValidationReport(namedtuple("ValidationReport", "ok problem cell", defaults=(None, None))):
+    """Whether a tableau is a k-tableau, and if not the first violated
+    invariant and an offending cell where one exists.  True exactly when
+    ok, whatever the other fields hold."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-# The report of every valid tableau; the class is frozen, so one is shared.
+# The report of every valid tableau; the record is immutable, so one is
+# shared.
 _VALID = ValidationReport(True)
 
 
@@ -316,17 +346,16 @@ def validate(tab: KTableau, weight: Sequence[int] | None = None) -> ValidationRe
     return _VALID
 
 
-class SequenceEntry(NamedTuple):
-    letter: int
-    residue: int
-    cells: frozenset[Cell]
+# One letter's residue class in a standard sequence: the letter, the
+# residue and the letter's cells of that residue.
+SequenceEntry = namedtuple("SequenceEntry", "letter residue cells")
 
 
-@dataclass(frozen=True)
-class StandardSequence:
-    """One residue class per consecutive letter 1..len(entries)."""
+class StandardSequence(namedtuple("StandardSequence", "entries")):
+    """One residue class per consecutive letter 1..len(entries).  Its
+    length is the number of entries, not of fields."""
 
-    entries: tuple[SequenceEntry, ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -369,12 +398,12 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups[1:]]
-    # The entries are built as plain tuples, without the Python-level
-    # `__new__` of a NamedTuple.
-    entry = tuple.__new__
+    # The entries and the sequences are built as plain tuples, without the
+    # Python-level `__new__` of a named tuple.
+    make = tuple.__new__
     sequences: list[StandardSequence] = []
     for prev in starts:
-        entries = [entry(SequenceEntry, (1, prev, ones[prev]))]
+        entries = [make(SequenceEntry, (1, prev, ones[prev]))]
         for letter, classes in enumerate(unused, start=2):
             if not classes:
                 break
@@ -388,9 +417,9 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
                     if (prev - res) % n < nearest:
                         chosen, nearest = res, (prev - res) % n
                 classes.discard(chosen)
-            entries.append(entry(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
+            entries.append(make(SequenceEntry, (letter, chosen, groups[letter - 1][chosen])))
             prev = chosen
-        sequences.append(StandardSequence(tuple(entries)))
+        sequences.append(make(StandardSequence, (tuple(entries),)))
     return sequences
 
 
@@ -528,12 +557,6 @@ def _text_layout(k: int, shape: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The largest shape, in cells, whose layout `_kept_text_layout` keeps; a
-# larger shape's layout is made for its call alone.  The (k, shape) pairs
-# a process renders repeat: 381 among the 1,829 tableaux of the benchmark's
-# `enumerate` family, 131 among the 3,153 of its `stat` pool and 331 among
-# the 12,981 of 6/9, whose shapes have at most 45 cells.
-_KEPT_LAYOUT_CELLS = 64
 _kept_text_layout = lru_cache(maxsize=1024)(_text_layout)
 
 

@@ -22,9 +22,8 @@ integer polynomials in t.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .cores import (
     Partition,
@@ -43,8 +42,7 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ResidueOrder:
+class ResidueOrder(namedtuple("ResidueOrder", "modulus pivot direction")):
     """Cyclic total order on residues {0..modulus-1} pivoted at `pivot`.
 
     direction "low":  pivot > pivot+1 > ... > modulus-1 > 0 > ... > pivot-1
@@ -55,19 +53,16 @@ class ResidueOrder:
     ValueError naming the field.
     """
 
-    modulus: int
-    pivot: int
-    direction: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.modulus) or self.modulus < 2:
-            raise ValueError(f"modulus must be an integer of at least 2, got {self.modulus!r}")
-        if not _is_int(self.pivot) or not 0 <= self.pivot < self.modulus:
-            raise ValueError(
-                f"pivot must be an integer in 0..{self.modulus - 1}, got {self.pivot!r}"
-            )
-        if self.direction not in ("low", "high"):
-            raise ValueError(f'direction must be "low" or "high", got {self.direction!r}')
+    # The named tuple's `__new__` sets the fields; `__init__` checks them.
+    def __init__(self, modulus: int, pivot: int, direction: str) -> None:
+        if not _is_int(modulus) or modulus < 2:
+            raise ValueError(f"modulus must be an integer of at least 2, got {modulus!r}")
+        if not _is_int(pivot) or not 0 <= pivot < modulus:
+            raise ValueError(f"pivot must be an integer in 0..{modulus - 1}, got {pivot!r}")
+        if direction not in ("low", "high"):
+            raise ValueError(f'direction must be "low" or "high", got {direction!r}')
 
     def rank(self, res: int) -> int:
         if self.direction == "low":
@@ -91,7 +86,13 @@ class ResidueOrder:
         return " > ".join(str(r) for r in self.descending())
 
 
-class SequenceReport(NamedTuple):
+class SequenceReport(
+    namedtuple(
+        "SequenceReport",
+        "letters residues L M I J diag_prev_low diag_prev_high diag_add_low diag_add_high"
+        " low_pivots high_pivots",
+    )
+):
     """The step columns of one standard sequence, one entry per letter.
 
     These are the public index vectors of both formulations.  L and I are
@@ -101,21 +102,11 @@ class SequenceReport(NamedTuple):
     and diag_add_high their corrections to the lowest and highest addable
     cell.  low_pivots and high_pivots hold the residue mod k+1 at which each
     letter's low and high `ResidueOrder` is pivoted (None for letter 1,
-    which has no order); `stat` renders the orders from them.
+    which has no order); `stat` renders the orders from them.  Each field
+    is a tuple with one entry per letter.
     """
 
-    letters: tuple[int, ...]
-    residues: tuple[int, ...]
-    L: tuple[int, ...]
-    M: tuple[int, ...]
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-    diag_prev_low: tuple[int, ...]
-    diag_prev_high: tuple[int, ...]
-    diag_add_low: tuple[int, ...]
-    diag_add_high: tuple[int, ...]
-    low_pivots: tuple[int | None, ...]
-    high_pivots: tuple[int | None, ...]
+    __slots__ = ()
 
     def cocharge_lp(self) -> int:
         return sum(self.L)

@@ -8,9 +8,8 @@ is reported with enough context to reproduce it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cores import Cell, Partition, _hook_facts, n_stat, partitions
 from .ktableaux import (
@@ -23,18 +22,41 @@ from .ktableaux import (
 from .statistics import _classical_statistics, _steps
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    identity: str
-    detail: str
-    context: str
+# One failed check: the identity's name, what failed, and the text of the
+# tableau it failed on.
+SweepFailure = namedtuple("SweepFailure", "identity detail context")
 
 
-@dataclass
 class SweepReport:
-    subjects_checked: int = 0
-    identities_checked: int = 0
-    failures: list[SweepFailure] = field(default_factory=list)
+    """The counts of a sweep and its failures in order; `merge` adds
+    another report's.  Reports compare by their fields."""
+
+    __slots__ = ("subjects_checked", "identities_checked", "failures")
+
+    def __init__(
+        self,
+        subjects_checked: int = 0,
+        identities_checked: int = 0,
+        failures: list[SweepFailure] | None = None,
+    ) -> None:
+        self.subjects_checked = subjects_checked
+        self.identities_checked = identities_checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SweepReport:
+            return NotImplemented
+        return (self.subjects_checked, self.identities_checked, self.failures) == (
+            other.subjects_checked,
+            other.identities_checked,
+            other.failures,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SweepReport(subjects_checked={self.subjects_checked!r}, "
+            f"identities_checked={self.identities_checked!r}, failures={self.failures!r})"
+        )
 
     @property
     def ok(self) -> bool:
@@ -78,10 +100,10 @@ def _weight_facts(
     )
 
 
-class Identity(NamedTuple):
-    name: str  # as FAIL output prints it
-    per: str  # what it is checked once for
-    position: int  # where a tableau's failures of it are reported
+# An identity of the sweep: its name as FAIL output prints it, what it is
+# checked once for, and the position at which a tableau's failures of it
+# are reported.
+Identity = namedtuple("Identity", "name per position")
 
 
 # A sweep validates each enumerated tableau before its other identities.

@@ -6,10 +6,12 @@ hook lengths, cached), `cores._corner_residues` (the addable corners as
 residues of row numbers), `ktableaux.to_text` (a cached layout per shape,
 filled with the letters), `ktableaux._enumerate_fast` (the weak-strip
 grower, checked against `_enumerate_oracle`), `statistics._steps` (the
-one-pass step rule, checked against `_walk_literal`) and
+one-pass step rule, checked against `_walk_literal`),
 `statistics.classical_charge` (per-letter position lists, checked against
-`classical_charge_literal`, which rebuilds the word).  A test that
-compares the two thus compares two independent computations.  The
+`classical_charge_literal`, which rebuilds the word) and
+`KTableau._index` (one pass against a kept reading layout per shape,
+checked against `literal_index`).  A test that compares the two thus
+compares two independent computations.  The
 restrictions, occurrences, addable cells, residue orders and `diag` are
 the definitions `_walk_literal` reads, and `enumerate_ssyt` the
 classical fillings that the Kostka-Foulkes tests count.  None of these is
@@ -106,6 +108,30 @@ def cells_of(tab: KTableau, letter: int) -> tuple[Cell, ...]:
         for j, x in enumerate(row, start=1)
         if x == letter
     )
+
+
+def literal_index(
+    tab: KTableau,
+) -> tuple[dict[int, tuple[Cell, ...]], dict[int, dict[int, frozenset[Cell]]], tuple | None]:
+    """The tableau's letter index, residue-class index and recorded weight,
+    read cell by cell with each residue from `residue`: letter -> its cells
+    bottom row first and left to right, letter -> (residue -> the letter's
+    cells of it) with residues in order of first cell, and each letter's
+    class count when the letters are 1..r with none missing, else None."""
+    n = tab.k + 1
+    by_letter: dict[int, list[Cell]] = {}
+    by_residue: dict[int, dict[int, set[Cell]]] = {}
+    for i, row in enumerate(tab.rows, start=1):
+        for j, x in enumerate(row, start=1):
+            cell = Cell(i, j)
+            by_letter.setdefault(x, []).append(cell)
+            by_residue.setdefault(x, {}).setdefault(residue(cell, n), set()).add(cell)
+    classes = {
+        x: {r: frozenset(cs) for r, cs in by_res.items()} for x, by_res in by_residue.items()
+    }
+    letters = range(1, len(classes) + 1)
+    weight = tuple(len(classes[x]) for x in letters) if set(classes) == set(letters) else None
+    return {x: tuple(cs) for x, cs in by_letter.items()}, classes, weight
 
 
 def restrict_leq(tab: KTableau, letter: int) -> KTableau:

@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -23,6 +24,7 @@ from kcharge.ktableaux import (
     ValidationReport,
     _KEPT_LAYOUT_CELLS,
     _cell_row,
+    _kept_reading_layout,
     _kept_text_layout,
     _weak_strips,
     enumerate_k_tableaux,
@@ -41,6 +43,7 @@ from reference import (
     entry,
     highest_occurrence,
     is_n_core,
+    literal_index,
     lowest_occurrence,
     restrict_leq,
     restrict_sequence,
@@ -59,6 +62,13 @@ def small_pool():
 
 
 POOL = small_pool()
+
+# The tracemalloc peak, in bytes, of validating a 100,000-cell row through
+# the per-row index that the reading layout replaced, measured as
+# `test_long_row_index_peak_stays_at_the_per_row_index` measures it: the
+# largest over Python 3.10-3.13, with or without compiled bytecode (3.10;
+# 3.11-3.13 read 85,729,060-85,729,340).
+PER_ROW_INDEX_PEAK = 85_731_367
 
 
 def test_validate_weight_222_example(tab_weight_222):
@@ -612,12 +622,18 @@ def test_parse_json_rejects_non_integer_fields(blob):
 
 
 def test_index_shares_each_rows_cells():
-    # Tableaux with a row of the same position and length share that row's
-    # `Cell`s and one-cell classes; the shared rows hold no letters.
+    # Tableaux of one k and shape read one kept reading layout, whose cells
+    # and one-cell classes are the shared row pairs of `_cell_row`; the
+    # layout holds no letters.
     a = KTableau(3, [[1, 1, 2], [2]])
     b = KTableau(3, [[1, 2, 3], [3]])
+    layout = _kept_reading_layout(3, a.shape)
+    assert _kept_reading_layout(3, b.shape) is layout
     row1, row2 = _cell_row(1, 3), _cell_row(2, 1)
-    shared = [cell for cell, _ in row1 + row2]
+    pairs = row1 + row2
+    assert [res for _, _, res in layout] == [0, 1, 2, 3]
+    assert all(c is cell and o is one for (c, o, _), (cell, one) in zip(layout, pairs))
+    shared = [cell for cell, _ in pairs]
     for tab in (a, b):
         cells = sorted(c for group in tab._letter_index().values() for c in group)
         assert cells == shared
@@ -625,17 +641,76 @@ def test_index_shares_each_rows_cells():
     assert a._residue_index()[1][0] is b._residue_index()[1][0] is row1[0][1]
     assert a._residue_index()[2][3] is b._residue_index()[3][3] is row2[0][1]
     assert row1[0][1] == frozenset({Cell(1, 1)})
+    # Another k has its own layout of the same cells; another shape with a
+    # row of the same position and length shares that row's cells.
+    other = _kept_reading_layout(4, a.shape)
+    assert [res for _, _, res in other] == [0, 1, 2, 4]
+    assert all(c is cell for (c, _, _), cell in zip(other, shared))
+    wider = KTableau(3, [[1, 1, 2], [2, 3]])
+    assert wider._letter_index()[1][0] is row1[0][0]
     # A class of two cells is its own frozenset; the one-cell class of its
     # first cell is left as it was.
     two = KTableau(3, [[1, 1, 1, 1, 1]])
     assert two._residue_index()[1][0] == frozenset({Cell(1, 1), Cell(1, 5)})
     assert _cell_row(1, 5)[0][1] == frozenset({Cell(1, 1)})
+    assert _kept_reading_layout.cache_info().maxsize == 1024
     assert _cell_row.cache_info().maxsize == 4096
-    # A row longer than the shared rows is made for its tableau alone.
-    cached = _cell_row.cache_info().currsize
-    long_row = KTableau(100, [range(1, 66)])
+    # A shape of more cells than the kept layouts is read for its tableau
+    # alone.  Its short rows are still shared; a row longer than the shared
+    # rows is made for its tableau alone too.
+    kept, rows = _kept_reading_layout.cache_info().currsize, _cell_row.cache_info().currsize
+    long_row = KTableau(100, [range(1, _KEPT_LAYOUT_CELLS + 2)])
     assert long_row._letter_index()[65] == (Cell(1, 65),)
-    assert _cell_row.cache_info().currsize == cached
+    assert (_kept_reading_layout.cache_info().currsize, _cell_row.cache_info().currsize) == (
+        kept,
+        rows,
+    )
+    column = KTableau(100, [[x] for x in range(1, _KEPT_LAYOUT_CELLS + 2)])
+    assert column._letter_index()[65][0] is _cell_row(65, 1)[0][0]
+    assert _kept_reading_layout.cache_info().currsize == kept
+
+
+def test_index_equals_the_literal_index(random_tableaux):
+    # The layout-fed pass against `literal_index`, which reads each cell's
+    # residue from `residue`: every 6/9 tableau, the random ones, the
+    # empty tableau and shapes above the kept-layout bound.
+    tableaux = [tab for k, mu in weights_up_to(6, 9) for tab in enumerate_k_tableaux(k, mu)]
+    assert len(tableaux) == 12981
+    tableaux += [tab for _, tab in random_tableaux]
+    tableaux += [
+        KTableau(1, []),
+        KTableau(100, [range(1, _KEPT_LAYOUT_CELLS + 2)]),
+        KTableau(3, [[1] * 40 + [2] * 30, [2] * 20 + [3] * 5, [3] * 10]),
+        KTableau(5, [[1, 2, 2, 4]] * 17 + [[3]]),
+    ]
+    assert sum(tableaux[-1].shape) > _KEPT_LAYOUT_CELLS
+    for tab in tableaux:
+        fresh = KTableau._trusted(tab.k, tab.rows, tab.shape)
+        letters, classes, weight = literal_index(fresh)
+        # Equal, and with the letters and residues in the same order.
+        assert list(fresh._letter_index().items()) == list(letters.items()), tab
+        got = fresh._residue_index()
+        assert [(x, list(got[x].items())) for x in got] == [
+            (x, list(classes[x].items())) for x in classes
+        ], tab
+        assert fresh._weight == weight, tab
+
+
+def test_long_row_index_peak_stays_at_the_per_row_index():
+    # The tracemalloc peak of validating one 100,000-cell row, after a
+    # first call has made the one-time allocations of the code it runs.
+    # The layout streams such a shape and keeps nothing of it, so the peak
+    # stays at or below the per-row index's.
+    assert validate(KTableau(200000, [range(1, 100)]))
+    tab = KTableau(200000, [range(1, 100001)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert validate(tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_ROW_INDEX_PEAK, peak
 
 
 def test_ktableau_rejects_non_integer_k_and_letters():
