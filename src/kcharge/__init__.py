@@ -7,15 +7,7 @@ generating polynomials that degenerate to Kostka-Foulkes polynomials for
 large k.
 """
 
-from .cores import (
-    Cell,
-    Partition,
-    enumerate_cores,
-    k_bounded_hooks,
-    n_stat,
-    partitions,
-    residue,
-)
+from .cores import Cell, Partition, n_stat, partitions
 from .ktableaux import (
     KTableau,
     StandardSequence,
@@ -50,9 +42,7 @@ __all__ = [
     "charge_table",
     "classical_charge",
     "classical_cocharge",
-    "enumerate_cores",
     "enumerate_k_tableaux",
-    "k_bounded_hooks",
     "k_charge",
     "k_cocharge",
     "kostka_foulkes_table",
@@ -60,7 +50,6 @@ __all__ = [
     "parse_json",
     "parse_text",
     "partitions",
-    "residue",
     "sequence_reports",
     "standard_sequences",
     "to_text",

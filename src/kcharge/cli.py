@@ -395,8 +395,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Nothing keeps the parser, so the collector can free it mid-command.
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

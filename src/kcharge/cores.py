@@ -57,13 +57,8 @@ def _partition_fault(parts: Sequence[int]) -> str | None:
     return None
 
 
-class Cell(namedtuple("Cell", "row col")):
-    __slots__ = ()
-
-    @property
-    def diagonal(self) -> int:
-        """Diagonal index col - row; positive below/right of the main diagonal."""
-        return self.col - self.row
+# A cell of a diagram, (row, col) with row 1 at the bottom.
+Cell = namedtuple("Cell", "row col")
 
 
 class Partition(tuple):
@@ -104,9 +99,6 @@ class Partition(tuple):
             for j in range(part):
                 cols[j] += 1
         return Partition._trusted(cols)
-
-    def contains(self, cell: Cell) -> bool:
-        return 1 <= cell.row <= len(self) and 1 <= cell.col <= self[cell.row - 1]
 
     def cells(self) -> Iterator[Cell]:
         """All cells, bottom row first, left to right within a row."""
@@ -171,14 +163,6 @@ def _hook_facts(parts: tuple[int, ...], n: int) -> tuple[Cell | None, int]:
     return first, bounded
 
 
-def residue(cell: Cell, n: int) -> int:
-    """(col - row) mod n; constant along diagonals, 0 on the main diagonal."""
-    n = _strict_int(n, "residue modulus")
-    if n < 2:
-        raise ValueError(f"residue modulus must be at least 2, got {n}")
-    return (cell.col - cell.row) % n
-
-
 def _corner_residues(parts: Sequence[int], n: int) -> Iterator[int | None]:
     """The n-residue of the addable corner of each 0-based row 0..len(parts),
     None for a row that has none; row len(parts) is the new top row.  They
@@ -196,12 +180,6 @@ def _corner_residues(parts: Sequence[int], n: int) -> Iterator[int | None]:
         yield (part - i) % n if below is None or below > part else None
         below = part
     yield -len(parts) % n
-
-
-def k_bounded_hooks(shape: Iterable[int], k: int) -> int:
-    """Number of cells with hook length at most k."""
-    k = _strict_k(k)
-    return _hook_facts(Partition(shape), k + 1)[1]
 
 
 def n_stat(mu: Partition) -> int:
@@ -301,31 +279,3 @@ def _semistandard_fillings(
         else:
             row[j - 1] = 0
             pos -= 1
-
-
-def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:
-    """All n-cores with at most the given number of (n-1)-bounded hooks.
-
-    Grown breadth-first from the empty core by repeatedly filling all
-    addable corners of a single residue (each such step adds exactly one
-    bounded hook).  Output is deduplicated and sorted canonically.  Both
-    arguments must be integers (bools, floats and strings raise ValueError).
-    """
-    n = _strict_int(n, "core modulus")
-    max_bounded_hooks = _strict_int(max_bounded_hooks, "bound")
-    if n < 2:
-        raise ValueError(f"core modulus must be at least 2, got {n}")
-    if max_bounded_hooks < 0:
-        raise ValueError("bound must be non-negative")
-    seen = {Partition()}
-    frontier = [Partition()]
-    for _ in range(max_bounded_hooks):
-        grown: list[Partition] = []
-        for core in frontier:
-            for res in range(n):
-                child = add_residue_class(core, n, res)
-                if child is not None and child not in seen:
-                    seen.add(child)
-                    grown.append(child)
-        frontier = grown
-    return sorted(seen, key=partition_sort_key)

@@ -64,14 +64,6 @@ class ResidueOrder(namedtuple("ResidueOrder", "modulus pivot direction")):
         if direction not in ("low", "high"):
             raise ValueError(f'direction must be "low" or "high", got {direction!r}')
 
-    def rank(self, res: int) -> int:
-        if self.direction == "low":
-            return (res - self.pivot) % self.modulus
-        return (self.pivot - res) % self.modulus
-
-    def greater(self, a: int, b: int) -> bool:
-        return self.rank(a) < self.rank(b)
-
     def descending(self) -> tuple[int, ...]:
         """The residues by rank, highest first: a rotation of 0..modulus-1
         that starts at the pivot, going up in the low order
@@ -150,7 +142,7 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
     * M and J, the cyclic residue orders of the morse formulation: M rises
       by 1 when the residue of i ranks above that of i-1 in the low order
       pivoted at the lowest addable cell's residue c mod n, J likewise in
-      the high order pivoted at -r mod n (`ResidueOrder.rank`).
+      the high order pivoted at -r mod n (`ResidueOrder.descending`).
 
     So lp and morse stay two independent computations.  Letter 1 has all
     four indices 0, no previous diag and no order, so its pivots are None.
@@ -199,7 +191,7 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
             prev_high = (gap - 1) // n if gap else 0
             I += 1 + prev_high if high_col > prev_high_col else -prev_high
             # A residue's rank is its distance from the pivot going up the
-            # low order, or down the high order (`ResidueOrder.rank`).
+            # low order, or down the high order (`ResidueOrder.descending`).
             low_pivot = bottom_col % n
             if (res - low_pivot) % n < (prev_res - low_pivot) % n:
                 M += 1
@@ -379,7 +371,13 @@ def classical_charge(rows: Sequence[Sequence[int]]) -> int:
     if min(word, default=1) < 1:
         bad = next(x for row in rows for x in row if x < 1)
         raise ValueError(f"letters must be positive, got {bad}")
-    positions: list[list[int]] = [[] for _ in range(max(word, default=0))]
+    top = max(word, default=0)
+    if top > len(word):
+        # Some letter is missing: the weight is counted without a position
+        # list per letter.
+        counts = Counter(word)
+        raise ValueError(f"weight {[counts[x] for x in range(1, top + 1)]} is not a partition")
+    positions: list[list[int]] = [[] for _ in range(top)]
     for pos, x in enumerate(word):
         positions[x - 1].append(pos)
     counts = list(map(len, positions))

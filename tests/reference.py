@@ -11,11 +11,17 @@ one-pass step rule, checked against `_walk_literal`),
 `classical_charge_literal`, which rebuilds the word) and
 `KTableau._index` (one pass against a kept reading layout per shape,
 checked against `literal_index`).  A test that compares the two thus
-compares two independent computations.  The
+compares two independent computations.  Residues are (col - row) mod n
+(`residue`), bounded hooks are counted one cell at a time with
+`hook_length` (`k_bounded_hooks`), and a residue ranks above another when
+it comes first in `ResidueOrder.descending()` (`greater`), so none of
+them reads `_hook_facts` or the modular ranks that `_steps` inlines.  The
 restrictions, occurrences, addable cells, residue orders and `diag` are
-the definitions `_walk_literal` reads, and `enumerate_ssyt` the
-classical fillings that the Kostka-Foulkes tests count.  None of these is
-part of the kcharge API.
+the definitions `_walk_literal` reads, `enumerate_cores` the cores that
+`_enumerate_oracle` fills (grown with `cores.add_residue_class`, and
+checked against a brute-force `is_n_core` filter), and `enumerate_ssyt`
+the classical fillings that the Kostka-Foulkes tests count.  None of
+these is part of the kcharge API.
 """
 
 from __future__ import annotations
@@ -28,19 +34,35 @@ from kcharge.cores import (
     _partition_fault,
     _strict_int,
     _strict_k,
-    enumerate_cores,
-    k_bounded_hooks,
-    residue,
+    add_residue_class,
+    partition_sort_key,
     semistandard_fillings,
 )
 from kcharge.ktableaux import KTableau, SequenceEntry, StandardSequence, validate
 from kcharge.statistics import ResidueOrder, SequenceReport
 
 
+def residue(cell: Cell, n: int) -> int:
+    """The cell's n-residue, (col - row) mod n: constant along diagonals,
+    0 on the main diagonal."""
+    return (cell.col - cell.row) % n
+
+
+def diagonal(cell: Cell) -> int:
+    """The cell's diagonal index col - row, positive below/right of the
+    main diagonal."""
+    return cell.col - cell.row
+
+
+def contains(shape, cell: Cell) -> bool:
+    """True iff the cell lies inside the diagram of the shape."""
+    return 1 <= cell.row <= len(shape) and 1 <= cell.col <= shape[cell.row - 1]
+
+
 def hook_length(shape, cell):
     """Arm + leg + 1 of a cell inside the diagram."""
     shape = Partition(shape)
-    if not shape.contains(cell):
+    if not contains(shape, cell):
         raise ValueError(f"cell {tuple(cell)} outside shape {shape}")
     arm = shape[cell.row - 1] - cell.col
     leg = shape.conjugate()[cell.col - 1] - cell.row
@@ -61,6 +83,13 @@ def k_interior(shape, k):
         raise ValueError(f"k must be positive, got {k}")
     shape = Partition(shape)
     return frozenset(cell for cell in shape.cells() if hook_length(shape, cell) > k)
+
+
+def k_bounded_hooks(shape, k):
+    """The number of cells with hook length at most k, counted one cell at
+    a time."""
+    shape = Partition(shape)
+    return sum(1 for cell in shape.cells() if hook_length(shape, cell) <= k)
 
 
 def addable_corners(shape, n):
@@ -85,6 +114,35 @@ def removable_corners(shape, n):
         if i == len(shape) or shape[i] < part
     ]
     return [(c, residue(c, n)) for c in corners]
+
+
+def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:
+    """All n-cores with at most the given number of (n-1)-bounded hooks,
+    the cores `_enumerate_oracle` fills.
+
+    Grown breadth-first from the empty core by repeatedly filling all
+    addable corners of a single residue (each such step adds exactly one
+    bounded hook).  Output is deduplicated and sorted canonically.  Both
+    arguments must be integers (bools, floats and strings raise ValueError).
+    """
+    n = _strict_int(n, "core modulus")
+    max_bounded_hooks = _strict_int(max_bounded_hooks, "bound")
+    if n < 2:
+        raise ValueError(f"core modulus must be at least 2, got {n}")
+    if max_bounded_hooks < 0:
+        raise ValueError("bound must be non-negative")
+    seen = {Partition()}
+    frontier = [Partition()]
+    for _ in range(max_bounded_hooks):
+        grown: list[Partition] = []
+        for core in frontier:
+            for res in range(n):
+                child = add_residue_class(core, n, res)
+                if child is not None and child not in seen:
+                    seen.add(child)
+                    grown.append(child)
+        frontier = grown
+    return sorted(seen, key=partition_sort_key)
 
 
 def to_text(tab):
@@ -202,7 +260,7 @@ def diag(c1: Cell, c2: Cell, k: int) -> int:
     cell is the lower.  k must be an integer of at least 1.
     """
     k = _strict_k(k)
-    gap = abs(c1.diagonal - c2.diagonal)
+    gap = abs(diagonal(c1) - diagonal(c2))
     return (gap - 1) // (k + 1) if gap else 0
 
 
@@ -236,6 +294,13 @@ def high_order(cells: Iterable[Cell], k: int) -> ResidueOrder:
     return ResidueOrder(n, residue(highest_addable(cells), n), "high")
 
 
+def greater(order: ResidueOrder, a: int, b: int) -> bool:
+    """True iff residue a ranks above residue b in the order, that is,
+    comes first in `order.descending()`."""
+    ranked = order.descending()
+    return ranked.index(a) < ranked.index(b)
+
+
 def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
     """The record of `statistics._walk` by the literal definitions, the
     oracle that `_steps` is tested against.  Each letter's restriction is
@@ -258,8 +323,8 @@ def _walk_literal(seq: StandardSequence, k: int) -> SequenceReport:
         d_prev_high.append(d)
         I.append(I[-1] + 1 + d if cur.col > prev.col else I[-1] - d)
         low, high = low_order(restricted[i], k), high_order(restricted[i], k)
-        M.append(M[-1] + low.greater(residues[i], residues[i - 1]))
-        J.append(J[-1] + high.greater(residues[i], residues[i - 1]))
+        M.append(M[-1] + greater(low, residues[i], residues[i - 1]))
+        J.append(J[-1] + greater(high, residues[i], residues[i - 1]))
         low_pivots.append(low.pivot)
         high_pivots.append(high.pivot)
     d_add_low = [diag(c, lowest_addable(r), k) for c, r in zip(low_at, restricted)]

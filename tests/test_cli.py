@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,27 @@ def test_stat_closes_its_input_file(tmp_path, capsys):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert "k-charge: lp=0 morse=0" in capsys.readouterr().out
+
+
+def test_main_lets_go_of_its_parser_before_the_command_runs(monkeypatch):
+    # The parser is cyclic garbage once parsed; a name in `main` kept it
+    # alive, with its ~220 argparse objects, for the whole command.
+    build_parser, parsers, alive = cli.build_parser, [], []
+
+    def recording_build_parser():
+        parser = build_parser()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def command(args):
+        gc.collect()
+        alive.append(parsers[0]() is not None)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    monkeypatch.setattr(cli, "cmd_verify", command)
+    assert cli.main(["verify", "--max-k", "1", "--max-weight", "1"]) == cli.EXIT_OK
+    assert alive == [False]
 
 
 def test_stat_invalid_tableau_exits_3():

@@ -12,10 +12,8 @@ from kcharge.cores import (
     Partition,
     _hook_facts,
     add_residue_class,
-    enumerate_cores,
     partition_sort_key,
     partitions,
-    residue,
     semistandard_fillings,
 )
 from kcharge.ktableaux import (
@@ -41,10 +39,13 @@ from reference import (
     _enumerate_oracle,
     cells_of,
     entry,
+    enumerate_cores,
     highest_occurrence,
     is_n_core,
+    k_bounded_hooks,
     literal_index,
     lowest_occurrence,
+    residue,
     restrict_leq,
     restrict_sequence,
     to_text as literal_text,
@@ -309,6 +310,16 @@ def test_enumerate_accepts_composition_weight():
 )
 def test_fast_equals_oracle(k, weight):
     assert_same_tableaux(enumerate_k_tableaux(k, weight), _enumerate_oracle(k, weight))
+
+
+def test_standard_shapes_are_the_cores_with_that_many_bounded_hooks():
+    # README lists the (k+1)-cores with m k-bounded hooks as the shapes of
+    # the standard k-tableaux of m letters: each such core has one.
+    for k in range(1, 6):
+        for m in range(8):
+            shapes = {t.shape for t in enumerate_k_tableaux(k, (1,) * m)}
+            cores = {s for s in enumerate_cores(k + 1, m) if k_bounded_hooks(s, k) == m}
+            assert shapes == cores, (k, m)
 
 
 def test_enumerated_tableaux_equal_the_checked_construction():

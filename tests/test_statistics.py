@@ -24,7 +24,10 @@ from reference import (
     _walk_literal,
     cells_of,
     diag,
+    diagonal,
     entry,
+    enumerate_cores,
+    greater,
     high_order,
     highest_addable,
     highest_occurrence,
@@ -33,6 +36,7 @@ from reference import (
     low_order,
     lowest_addable,
     lowest_occurrence,
+    residue,
     restrict_leq,
     restrict_sequence,
 )
@@ -56,9 +60,9 @@ def test_diag_rejects_k_below_one(k):
 @given(cells, cells, st.integers(1, 8))
 def test_diag_matches_brute_count(c1, c2, k):
     n = k + 1
-    lower = min(c1, c2, key=lambda c: (c.row, c.diagonal))
-    lo, hi = sorted((c1.diagonal, c2.diagonal))
-    brute = sum(1 for d in range(lo + 1, hi) if d % n == lower.diagonal % n)
+    lower = min(c1, c2, key=lambda c: (c.row, diagonal(c)))
+    lo, hi = sorted((diagonal(c1), diagonal(c2)))
+    brute = sum(1 for d in range(lo + 1, hi) if d % n == diagonal(lower) % n)
     assert diag(c1, c2, k) == brute
 
 
@@ -72,7 +76,7 @@ def test_diag_row_tie_break_is_immaterial(c1, c2, k):
     # counting either endpoint's residue class over the open interval gives
     # the same answer, so the lower-cell rule never changes the value
     n = k + 1
-    lo, hi = sorted((c1.diagonal, c2.diagonal))
+    lo, hi = sorted((diagonal(c1), diagonal(c2)))
     gap = hi - lo
     assert diag(c1, c2, k) == (max(gap - 1, 0)) // n
 
@@ -116,7 +120,7 @@ def test_residue_order_is_total(modulus, pivot, direction):
     assert ranked[0] == pivot % modulus
     for a in range(modulus):
         for b in range(modulus):
-            assert order.greater(a, b) == (a != b and not order.greater(b, a))
+            assert greater(order, a, b) == (a != b and not greater(order, b, a))
 
 
 def test_low_order_walks_upward():
@@ -127,12 +131,15 @@ def test_low_order_walks_upward():
 
 
 def test_descending_is_the_order_by_rank():
-    # The rotation against its definition, the residues sorted by rank.
+    # The rotation against its definition, the residues sorted by rank: a
+    # residue's distance from the pivot going up the low order, or down
+    # the high order.
     for modulus in range(2, 13):
         for pivot in range(modulus):
-            for direction in ("low", "high"):
+            for direction, sign in (("low", 1), ("high", -1)):
                 order = ResidueOrder(modulus, pivot, direction)
-                assert order.descending() == tuple(sorted(range(modulus), key=order.rank))
+                ranked = sorted(range(modulus), key=lambda r: sign * (r - pivot) % modulus)
+                assert order.descending() == tuple(ranked)
 
 
 @pytest.mark.parametrize(
@@ -286,11 +293,11 @@ def test_package_exports_resolve():
 
 # Names that left the library because no command used them.  The oracles
 # and the names only they or the tests called are literal references in
-# tests/reference.py (the methods there as functions of a tableau or a
-# sequence); `letter`, `cells`, `residues_of` and `reading_word` are read
-# off the tableau's rows, shape and residue index; `parse_partition`,
-# `to_json`, `monomial` and `from_json_dict` were deleted, as no command
-# reads or builds what they did.
+# tests/reference.py (the methods there as functions of a tableau, a
+# sequence, a cell, a shape or an order); `letter`, `cells`, `residues_of`
+# and `reading_word` are read off the tableau's rows, shape and residue
+# index; `parse_partition`, `to_json`, `monomial` and `from_json_dict`
+# were deleted, as no command reads or builds what they did.
 TESTS_ONLY = {
     cores: (
         "hook_length",
@@ -299,7 +306,13 @@ TESTS_ONLY = {
         "addable_corners",
         "removable_corners",
         "parse_partition",
+        "enumerate_cores",
+        "k_bounded_hooks",
+        "residue",
     ),
+    Cell: ("diagonal",),
+    Partition: ("contains",),
+    ResidueOrder: ("rank", "greater"),
     ktableaux: (
         "_enumerate_oracle",
         "restrict_sequence",
@@ -347,18 +360,13 @@ def test_tests_only_definitions_are_not_library_names():
             "letter must be an integer, got True",
         ),
         (lambda tab, seq: highest_occurrence(seq, True), "letter must be an integer, got True"),
-        (
-            lambda tab, seq: cores.residue(Cell(1, 2), 2.5),
-            "residue modulus must be an integer, got 2.5",
-        ),
         (lambda tab, seq: diag(Cell(1, 1), Cell(1, 9), 2.5), "k must be an integer, got 2.5"),
         (lambda tab, seq: diag(Cell(1, 1), Cell(1, 9), True), "k must be an integer, got True"),
-        (lambda tab, seq: cores.k_bounded_hooks((3,), 2.5), "k must be an integer, got 2.5"),
         (
-            lambda tab, seq: cores.enumerate_cores(2.5, 2),
+            lambda tab, seq: enumerate_cores(2.5, 2),
             "core modulus must be an integer, got 2.5",
         ),
-        (lambda tab, seq: cores.enumerate_cores(3, 1.5), "bound must be an integer, got 1.5"),
+        (lambda tab, seq: enumerate_cores(3, 1.5), "bound must be an integer, got 1.5"),
         (lambda tab, seq: list(partitions(2.5)), "n must be an integer, got 2.5"),
         (lambda tab, seq: list(partitions(True)), "n must be an integer, got True"),
         (lambda tab, seq: list(partitions(3, 1.5)), "max_part must be an integer, got 1.5"),
@@ -385,10 +393,8 @@ def test_tests_only_definitions_are_not_library_names():
         "restrict_sequence-bool",
         "lowest_occurrence-bool",
         "highest_occurrence-bool",
-        "residue-float-modulus",
         "diag-float-k",
         "diag-bool-k",
-        "k_bounded_hooks-float-k",
         "enumerate_cores-float-modulus",
         "enumerate_cores-float-bound",
         "partitions-float-n",
@@ -781,12 +787,12 @@ def _rebuilt_prefix_rules(tab):
         seq = standard_sequences(tab)[0]
         report = statistics._walk(seq, tab.k)
         for i in range(1, len(weight) + 1):
-            res = cores.residue(highest_occurrence(seq, i), n)
+            res = residue(highest_occurrence(seq, i), n)
             meeting = {
-                c.diagonal
+                diagonal(c)
                 for j in range(1, i + 1)
                 for c in cells_of(tab, j)
-                if c.diagonal % n == res
+                if diagonal(c) % n == res
             }
             count = len(cells_of(tab, i)) + report.diag_add_high[i - 1] + report.diag_add_low[i - 1]
             out.append((MEETING, count == len(meeting), f"letter {i}: {count} != {len(meeting)}"))
