@@ -26,18 +26,12 @@ from .cores import (
     partition_sort_key,
 )
 
-# The longest row whose cells are shared through `_cell_row`; a longer row
-# is streamed from `_row_cells` for its tableau alone, so that one huge
-# tableau does not stay in the cache.  The rows of the 7/10 sweep have at
-# most 10 cells.
-_SHARED_ROW_CELLS = 64
-
 # The largest shape, in cells, whose text layout and reading layout are
-# kept (`_kept_text_layout`, `_kept_reading_layout`); a larger shape's
-# layout is made for its call alone.  The (k, shape) pairs a process reads
-# repeat: 381 among the 1,829 tableaux of the benchmark's `enumerate`
-# family, 131 among the 3,153 of its `stat` pool, 134 among the 1,211 of
-# 5/7 and 331 among the 12,981 of 6/9, whose shapes have at most 45 cells.
+# kept (`_kept_text_layout`, `_kept_reading_layout`), and the longest row
+# whose cells `_cell_row` shares.  A larger shape or a longer row is made
+# for its call alone, so that one huge tableau does not stay in a cache.
+# The (k, shape) pairs a process reads repeat: 6/9 reads 331 among its
+# 12,981 tableaux, whose shapes have at most 45 cells.
 _KEPT_LAYOUT_CELLS = 64
 
 
@@ -45,7 +39,7 @@ def _row_cells(i: int, length: int) -> Iterator[tuple[Cell, frozenset[Cell]]]:
     """(Cell(i, j), frozenset({Cell(i, j)})) for j = 1..length, one pair
     at a time.  Each `Cell` is made as a plain tuple, without the
     Python-level `__new__` of a named tuple.  A row longer than
-    `_SHARED_ROW_CELLS` is read from here directly, so its pairs are never
+    `_KEPT_LAYOUT_CELLS` is read from here directly, so its pairs are never
     held all at once."""
     make = tuple.__new__
     for j in range(1, length + 1):
@@ -71,11 +65,11 @@ def _reading_layout(k: int, shape: Partition) -> Iterator[tuple[Cell, frozenset[
     """(cell, its one-cell class, its (k+1)-residue) for each cell of
     shape in reading order, bottom row first, left to right.  The cells and
     classes are the shared pairs of `_cell_row`, or the streamed ones of
-    `_row_cells` for a row longer than `_SHARED_ROW_CELLS`."""
+    `_row_cells` for a row longer than `_KEPT_LAYOUT_CELLS`."""
     n = k + 1
     for i, length in enumerate(shape, start=1):
         res = (1 - i) % n  # the residue of the cell (i, 1)
-        pairs = _cell_row(i, length) if length <= _SHARED_ROW_CELLS else _row_cells(i, length)
+        pairs = _cell_row(i, length) if length <= _KEPT_LAYOUT_CELLS else _row_cells(i, length)
         for cell, one in pairs:
             yield cell, one, res
             res += 1

@@ -1,17 +1,17 @@
 """Exhaustive verification sweeps over enumerated k-tableaux.
 
 Every identity relating the two charge formulations is checked on every
-tableau within the requested bounds; the first counterexample, if any,
-is reported with enough context to reproduce it.
+tableau within the requested bounds.  Every failure is recorded with the
+text of its tableau, enough context to reproduce it; `verify` reports the
+first 10.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from functools import lru_cache
 
-from .cores import Cell, Partition, _hook_facts, n_stat, partitions
+from .cores import Cell, Partition, _hook_facts, _strict_int, n_stat, partitions
 from .ktableaux import (
     KTableau,
     enumerate_k_tableaux,
@@ -70,7 +70,10 @@ class SweepReport:
 
 def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
     """All (k, weight) pairs with 1 <= k <= max_k and weight a non-empty
-    partition of size <= max_size whose parts are at most k."""
+    partition of size <= max_size whose parts are at most k; a bound that
+    is not an integer (a bool, float or string) raises ValueError."""
+    max_k = _strict_int(max_k, "max_k")
+    max_size = _strict_int(max_size, "max_size")
     return [
         (k, mu)
         for k in range(1, max_k + 1)
@@ -79,16 +82,13 @@ def weights_up_to(max_k: int, max_size: int) -> list[tuple[int, Partition]]:
     ]
 
 
-@lru_cache(maxsize=1024)
 def _weight_facts(
     weight: tuple[int, ...],
 ) -> tuple[Partition, int, bool, int, tuple[tuple[int, int], ...]]:
     """(mu, n(mu), whether mu is standard, its length, letter 1's cells)
     for a partition weight mu: the facts that `check_tableau_identities`
-    reads, shared by every tableau of that weight.  A sweep checks all the
-    tableaux of one weight together, and 5/7 has 41 distinct weights among
-    its 1,211 tableaux (6/9: 89 among 12,981).  Letter 1 fills the start
-    of the bottom row, one cell per residue."""
+    reads, shared by every tableau of that weight.  Letter 1 fills the
+    start of the bottom row, one cell per residue."""
     mu = Partition._trusted(weight)
     alpha1 = mu[0] if mu else 0
     return (
@@ -156,9 +156,11 @@ for _identity in IDENTITIES:
 ) = _PER_UNIT.values()
 
 
-def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
+def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[SweepFailure]]:
     """Run every identity of `IDENTITIES` on one tableau.
 
+    `facts` is `_weight_facts(tab.weight)`, which a caller that checks many
+    tableaux of one weight computes once; without it, it is computed here.
     Returns (number of identities checked, failures in `IDENTITIES` order).
     The facts are read in fused passes.  Each standard sequence is read as
     `_walk` reads it: `statistics._steps` returns its ten columns, which
@@ -184,7 +186,7 @@ def check_tableau_identities(tab: KTableau) -> tuple[int, list[SweepFailure]]:
     n = k + 1
     seqs = standard_sequences(tab)
     # `standard_sequences` raises unless the weight is a partition.
-    mu, n_weight, standard, m, letter1_expected = _weight_facts(tab.weight)
+    mu, n_weight, standard, m, letter1_expected = facts or _weight_facts(tab.weight)
     lam = tab.shape
     # (identity, detail) of each failure, in the order the passes find them.
     found: list[tuple[Identity, str]] = []
@@ -326,12 +328,13 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     # Each tableau's validation is one identity.
     identities = subjects
     failed: list[SweepFailure] = []
+    facts = _weight_facts(weight)  # every tableau that validates has this weight
     while tableaux:
         tab = tableaux.pop()
         ok = validate(tab, weight)
         if not ok:
             failed.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
-        checked, failures = check_tableau_identities(tab)
+        checked, failures = check_tableau_identities(tab, facts if ok else None)
         identities += checked
         failed += failures
     return SweepReport(subjects, identities, failed)
@@ -340,9 +343,11 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
 def run_statistics_sweep(max_k: int, max_weight: int, processes: int = 1) -> SweepReport:
     """Check every statistics identity over all k-tableaux with k <= max_k
     and partition weight of size <= max_weight (parts <= k).  Both bounds
-    must be positive; a zero bound raises ValueError before any task is
-    built, as it would check nothing.  At most `processes` worker processes
-    run, never more than the CPU count."""
+    must be positive integers; a bool, float, string or zero raises
+    ValueError before any task is built.  At most `processes` worker
+    processes run, never more than the CPU count."""
+    max_k = _strict_int(max_k, "max-k")
+    max_weight = _strict_int(max_weight, "max-weight")
     if max_k < 1:
         raise ValueError(f"max-k must be positive, got {max_k}")
     if max_weight < 1:

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from kcharge import KTableau
-from kcharge.cores import Partition
-from kcharge.ktableaux import _extend_rows, _weak_strips
+from reference import random_k_tableau
 
 
 @pytest.fixture
@@ -26,38 +25,6 @@ def tab_semistandard_13():
         4,
         [[1, 1, 2, 3, 4, 4, 5, 5, 6], [2, 3, 5, 5, 6], [3, 4, 7], [5, 6], [6], [7]],
     )
-
-
-def random_k_tableau(rng, k, min_cells=15, max_cells=40, max_part=4):
-    """A random k-tableau whose shape has min_cells..max_cells cells.
-
-    It grows one letter at a time.  Each letter takes a random size, at
-    most the last letter's (so the weight stays a partition) and at most
-    max_part, and a random weak strip of that size from
-    `ktableaux._weak_strips` that keeps the shape within max_cells; the
-    other sizes are tried in random order when none fits.  It stops at a
-    random target size, so sizes spread over the range, or short of it
-    when no strip fits and the shape has min_cells cells; below that, the
-    letter before is undone.
-    """
-    n = k + 1
-    target = rng.randint(min_cells, max_cells)
-    # (shape, rows, largest size the next letter may take)
-    stack = [(Partition(), (), min(k, max_part))]
-    while True:
-        shape, rows, cap = stack[-1]
-        if sum(shape) >= target:
-            return KTableau(k, rows)
-        for size in rng.sample(range(1, cap + 1), cap):
-            fits = [grown for grown in _weak_strips(shape, n, size) if sum(grown) <= max_cells]
-            if fits:
-                grown = rng.choice(fits)
-                stack.append((grown, _extend_rows(rows, grown, len(stack)), size))
-                break
-        else:
-            if sum(shape) >= min_cells:
-                return KTableau(k, rows)
-            stack.pop()
 
 
 @pytest.fixture(scope="session")

@@ -18,10 +18,12 @@ it comes first in `ResidueOrder.descending()` (`greater`), so none of
 them reads `_hook_facts` or the modular ranks that `_steps` inlines.  The
 restrictions, occurrences, addable cells, residue orders and `diag` are
 the definitions `_walk_literal` reads, `enumerate_cores` the cores that
-`_enumerate_oracle` fills (grown with `cores.add_residue_class`, and
+`_enumerate_oracle` fills (grown on the abacus by `abacus_step`, and
 checked against a brute-force `is_n_core` filter), and `enumerate_ssyt`
-the classical fillings that the Kostka-Foulkes tests count.  None of
-these is part of the kcharge API.
+the classical fillings that the Kostka-Foulkes tests count.
+`random_k_tableau` is no oracle: it draws the seeded tableaux that extend
+the checks beyond the exhaustive sweeps, grown with the library's weak
+strips.  None of these is part of the kcharge API.
 """
 
 from __future__ import annotations
@@ -34,11 +36,17 @@ from kcharge.cores import (
     _partition_fault,
     _strict_int,
     _strict_k,
-    add_residue_class,
     partition_sort_key,
     semistandard_fillings,
 )
-from kcharge.ktableaux import KTableau, SequenceEntry, StandardSequence, validate
+from kcharge.ktableaux import (
+    KTableau,
+    SequenceEntry,
+    StandardSequence,
+    _extend_rows,
+    _weak_strips,
+    validate,
+)
 from kcharge.statistics import ResidueOrder, SequenceReport
 
 
@@ -116,12 +124,34 @@ def removable_corners(shape, n):
     return [(c, residue(c, n)) for c in corners]
 
 
+def abacus_step(core, n: int, r: int) -> Partition | None:
+    """The shape with every addable cell of residue r filled, read on the
+    abacus; None if it has none.
+
+    With N beads, one more than the shape has rows, the part of row i
+    (1-based, bottom row first) is the bead at position part + N - i; the
+    last bead, at 0, stands for an empty row.  Its addable cell has
+    residue (p + 1 - N) mod n, so each bead at p of that residue r with an
+    empty position p + 1 moves there.  On an n-core this is the action of
+    the affine reflection s_r, read from beta-numbers, not from corners.
+    """
+    parts = tuple(core) + (0,)
+    N = len(parts)
+    beads = {part + N - i for i, part in enumerate(parts, start=1)}
+    moving = {p for p in beads if (p + 1 - N) % n == r and p + 1 not in beads}
+    if not moving:
+        return None
+    moved = sorted((beads - moving) | {p + 1 for p in moving}, reverse=True)
+    # The last bead stays at 0 unless the new top row is filled.
+    return Partition(filter(None, [p - N + i for i, p in enumerate(moved, start=1)]))
+
+
 def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:
     """All n-cores with at most the given number of (n-1)-bounded hooks,
     the cores `_enumerate_oracle` fills.
 
-    Grown breadth-first from the empty core by repeatedly filling all
-    addable corners of a single residue (each such step adds exactly one
+    Grown breadth-first from the empty core by `abacus_step`, which fills
+    all addable cells of a single residue (each such step adds exactly one
     bounded hook).  Output is deduplicated and sorted canonically.  Both
     arguments must be integers (bools, floats and strings raise ValueError).
     """
@@ -137,7 +167,7 @@ def enumerate_cores(n: int, max_bounded_hooks: int) -> list[Partition]:
         grown: list[Partition] = []
         for core in frontier:
             for res in range(n):
-                child = add_residue_class(core, n, res)
+                child = abacus_step(core, n, res)
                 if child is not None and child not in seen:
                     seen.add(child)
                     grown.append(child)
@@ -221,6 +251,39 @@ def _enumerate_oracle(k: int, weight: Sequence[int]) -> list[KTableau]:
             if tab.weight == tuple(weight) and validate(tab, weight).ok:
                 found.append(tab)
     return found
+
+
+def random_k_tableau(rng, k, min_cells=15, max_cells=40, max_part=4):
+    """A random k-tableau whose shape has min_cells..max_cells cells.
+
+    It grows one letter at a time.  Each letter takes a random size, at
+    most the last letter's (so the weight stays a partition) and at most
+    max_part, and a random weak strip of that size from
+    `ktableaux._weak_strips` that keeps the shape within max_cells; the
+    other sizes are tried in random order when none fits.  It stops at a
+    random target size, so sizes spread over the range, or short of it
+    when no strip fits and the shape has min_cells cells; below that, the
+    letter before is undone.  It is not uniform over tableaux: each letter
+    picks one strip among those that fit, whatever each leads to.
+    """
+    n = k + 1
+    target = rng.randint(min_cells, max_cells)
+    # (shape, rows, largest size the next letter may take)
+    stack = [(Partition(), (), min(k, max_part))]
+    while True:
+        shape, rows, cap = stack[-1]
+        if sum(shape) >= target:
+            return KTableau(k, rows)
+        for size in rng.sample(range(1, cap + 1), cap):
+            fits = [grown for grown in _weak_strips(shape, n, size) if sum(grown) <= max_cells]
+            if fits:
+                grown = rng.choice(fits)
+                stack.append((grown, _extend_rows(rows, grown, len(stack)), size))
+                break
+        else:
+            if sum(shape) >= min_cells:
+                return KTableau(k, rows)
+            stack.pop()
 
 
 def entry(seq: StandardSequence, letter: int) -> SequenceEntry:

@@ -15,6 +15,7 @@ from kcharge.cores import (
     semistandard_fillings,
 )
 from reference import (
+    abacus_step,
     addable_corners,
     enumerate_cores,
     hook_length,
@@ -358,6 +359,27 @@ def test_enumerate_cores_matches_brute_filter(n, bound, window):
     }
     assert set(enumerated) == brute
     assert enumerated == sorted(enumerated, key=partition_sort_key)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_corner_rule_equals_the_abacus_step(n):
+    # The oracle grows its cores on the abacus, so `_corner_residues` is
+    # checked here against a rule that reads no corner: on every n-core
+    # with at most 9 bounded hooks, and on every partition of at most 6.
+    shapes = enumerate_cores(n, 9) + list(all_partitions_up_to(6))
+    for shape in shapes:
+        for res in range(n):
+            assert add_residue_class(shape, n, res) == abacus_step(shape, n, res), (shape, res)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cores_with_m_bounded_hooks_are_counted_by_bounded_partitions(n):
+    # Lapointe-Morse: the n-cores with m (n-1)-bounded hooks are as many as
+    # the partitions of m into parts of at most n-1, a count that neither
+    # grower reads.
+    bound = 9
+    found = Counter(k_bounded_hooks(core, n - 1) for core in enumerate_cores(n, bound))
+    assert found == {m: sum(1 for _ in partitions(m, max_part=n - 1)) for m in range(bound + 1)}
 
 
 @pytest.mark.parametrize("n,bound", [(2, 4), (3, 5), (4, 5), (5, 4)])

@@ -306,6 +306,8 @@ def test_enumerate_accepts_composition_weight():
         (5, (2, 2, 2, 1, 1)),
         (5, (4, 3, 1)),
         (7, (5, 4, 3)),
+        # Shapes of five rows at k=6, whose top row is grown above four.
+        (6, (2, 1, 1, 1, 1)),
     ],
 )
 def test_fast_equals_oracle(k, weight):

@@ -926,9 +926,9 @@ def test_statistics_task_frees_each_tableau_once_checked(monkeypatch):
         lists.append(found)
         return found
 
-    def check(tab):
+    def check(tab, facts=None):
         left.append((tab, len(lists[0])))
-        return original(tab)
+        return original(tab, facts)
 
     original = sweeps.check_tableau_identities
     monkeypatch.setattr(sweeps, "enumerate_k_tableaux", enumerate_and_keep)
@@ -938,6 +938,61 @@ def test_statistics_task_frees_each_tableau_once_checked(monkeypatch):
     assert report.ok and report.subjects_checked == len(expected) > 5
     assert [tab for tab, _ in left] == expected
     assert [n for _, n in left] == list(range(len(expected) - 1, -1, -1))
+
+
+def test_each_task_computes_its_weight_facts_once(monkeypatch):
+    # Every tableau of a task has the task's weight once it validates, so
+    # the facts are computed once per task, not once per tableau.
+    calls = []
+    original = sweeps._weight_facts
+
+    def counting(weight):
+        calls.append(weight)
+        return original(weight)
+
+    monkeypatch.setattr(sweeps, "_weight_facts", counting)
+    report = sweeps.run_statistics_sweep(5, 7)
+    assert (report.subjects_checked, report.identities_checked) == (1211, 33786)
+    tasks = sweeps.weights_up_to(5, 7)
+    assert calls == [tuple(mu) for _, mu in tasks]
+
+
+def test_task_checks_a_tableau_of_another_weight_by_its_own_weight(monkeypatch):
+    # A tableau that fails validation may have another weight than the
+    # task's, so its identities read the facts of its own weight: its
+    # failures are exactly what the one-argument check gives.  This one has
+    # weight (3,3,3), and the task's is (3,3,2).
+    tab = ktableaux.parse_text(LP_MORSE_DISAGREE[0])
+    monkeypatch.setattr(sweeps, "enumerate_k_tableaux", lambda k, weight: [tab])
+    report = sweeps._statistics_task((5, (3, 3, 2)))
+    checked, failures = sweeps.check_tableau_identities(tab)
+    problem = ktableaux.validate(tab, (3, 3, 2)).problem
+    assert problem == "letter 3 spans 3 residues, expected 2"
+    assert report == sweeps.SweepReport(
+        1,
+        1 + checked,
+        [sweeps.SweepFailure(sweeps.VALIDATES.name, problem, ktableaux.to_text(tab)), *failures],
+    )
+    # The task's own weight would give another duality constant.
+    assert failures != sweeps.check_tableau_identities(tab, sweeps._weight_facts((3, 3, 2)))[1]
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"])
+@pytest.mark.parametrize(
+    "sweep,names",
+    [
+        (sweeps.run_statistics_sweep, ("max-k", "max-weight")),
+        (sweeps.weights_up_to, ("max_k", "max_size")),
+    ],
+    ids=["run_statistics_sweep", "weights_up_to"],
+)
+def test_sweep_bounds_must_be_integers(sweep, names, bad):
+    # int() would read True as 1 and a float or a string would fail later
+    # with TypeError; each bound is refused with ValueError instead.
+    with pytest.raises(ValueError, match=f"^{names[0]} must be an integer, got {bad!r}$"):
+        sweep(bad, 3)
+    with pytest.raises(ValueError, match=f"^{names[1]} must be an integer, got {bad!r}$"):
+        sweep(2, bad)
 
 
 # lp and morse disagree on 7 tableaux of `kcharge verify --max-k 6
