@@ -367,6 +367,8 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     0..k clockwise, i.e. minimising (prev - candidate) mod (k+1).  An entry
     consists of all cells carrying that letter and residue: one class of
     the tableau's residue-class index, shared with `weight` and `validate`.
+    A standard weight (every part 1) has one sequence, each letter's one
+    class in turn, which is read directly.
     """
     n = tab.k + 1
     weight = tab.weight
@@ -378,7 +380,20 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
         return []
     # A partition has no zero part, so every letter 1..len(weight) is a key.
     index = tab._residue_index()
-    groups = [index[x] for x in range(1, len(weight) + 1)]
+    letters = range(1, len(weight) + 1)
+    # The entries and the sequences are built as plain tuples, without the
+    # Python-level `__new__` of a named tuple.
+    make = tuple.__new__
+    if weight[0] == 1:
+        # Every part is 1 (the first part of a partition is its largest):
+        # each letter has one class, and the one sequence takes them in turn.
+        entries = [
+            make(SequenceEntry, (x, res, cells))
+            for x in letters
+            for res, cells in index[x].items()
+        ]
+        return [make(StandardSequence, (tuple(entries),))]
+    groups = [index[x] for x in letters]
 
     # Letter 1's classes in the order the sequences start from them: by
     # their right-most cell, right to left (a tie keeps set order, as a
@@ -392,9 +407,6 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     # A weakly decreasing weight keeps |unused[i]| <= |unused[i-1]| through
     # every pass, so all letters run out of classes together.
     unused = [set(g) for g in groups[1:]]
-    # The entries and the sequences are built as plain tuples, without the
-    # Python-level `__new__` of a named tuple.
-    make = tuple.__new__
     sequences: list[StandardSequence] = []
     for prev in starts:
         entries = [make(SequenceEntry, (1, prev, ones[prev]))]

@@ -666,70 +666,72 @@ def test_passing_identities_render_no_text(monkeypatch):
     assert calls == {"to_text": 0, "classical_charge": 1}
 
 
-@pytest.mark.parametrize(
-    "k,rows,expected",
-    [
-        (
-            3,
-            [[1, 1, 2], [2]],
-            [
-                ("charge + cocharge = n(weight) - interior", "1 + 1 != 2 - 1"),
-                ("restriction is a core", "restriction to 2 has shape (3,1)"),
-            ],
-        ),
-        (
-            2,
-            [[1, 2], [3]],
-            [
-                ("charge + cocharge = n(weight) - interior", "2 + 1 != 3 - 1"),
-                ("restriction is a core", "restriction to 3 has shape (2,1)"),
-                ("standard duality with explicit constant", "2 != 3*2/2 - 1 - 1"),
-            ],
-        ),
-        (
-            3,
-            [[1, 1, 2, 3], [2, 3]],
-            [
-                ("charge + cocharge = n(weight) - interior", "3 + 3 != 6 - 2"),
-                ("restriction is a core", "restriction to 2 has shape (3,1)"),
-                ("restriction is a core", "restriction to 3 has shape (4,2)"),
-            ],
-        ),
-        (
-            1,
-            [[1, 2], [3], [1]],
-            [
-                ("charge formulations agree", "lp=4 morse=3"),
-                ("charge + cocharge = n(weight) - interior", "3 + 1 != 3 - 2"),
-                ("restriction is a core", "restriction to 1 has shape (1,1)"),
-                ("restriction is a core", "restriction to 3 has shape (2,1,1)"),
-                (
-                    "entry occupies one residue, distinct rows and columns",
-                    "letter 1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
-                ),
-                (
-                    "letter 1 fills the bottom row start",
-                    "letter-1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
-                ),
-                ("standard duality with explicit constant", "3 != 3*2/2 - 2 - 1"),
-                ("diagonal count through the restriction", "letter 2: 2 != 1"),
-            ],
-        ),
-        (
-            # Letter 3 sits on diagonals 2 and -2 of residue 0 but not on 0.
-            1,
-            [[1, 2, 3], [2], [3]],
-            [
-                ("restriction is a core", "restriction to 3 has shape (3,1,1)"),
-                (
-                    "diagonal filling between extremes",
-                    "letter 3 misses a residue-0 diagonal in [0]",
-                ),
-                ("diagonal count through the restriction", "letter 3: 2 != 3"),
-            ],
-        ),
-    ],
-)
+# Small fillings, not all of them k-tableaux: (k, rows, the checker's
+# failures on them as (identity, detail)).
+PINNED_FAILURE_DETAILS = [
+    (
+        3,
+        [[1, 1, 2], [2]],
+        [
+            ("charge + cocharge = n(weight) - interior", "1 + 1 != 2 - 1"),
+            ("restriction is a core", "restriction to 2 has shape (3,1)"),
+        ],
+    ),
+    (
+        2,
+        [[1, 2], [3]],
+        [
+            ("charge + cocharge = n(weight) - interior", "2 + 1 != 3 - 1"),
+            ("restriction is a core", "restriction to 3 has shape (2,1)"),
+            ("standard duality with explicit constant", "2 != 3*2/2 - 1 - 1"),
+        ],
+    ),
+    (
+        3,
+        [[1, 1, 2, 3], [2, 3]],
+        [
+            ("charge + cocharge = n(weight) - interior", "3 + 3 != 6 - 2"),
+            ("restriction is a core", "restriction to 2 has shape (3,1)"),
+            ("restriction is a core", "restriction to 3 has shape (4,2)"),
+        ],
+    ),
+    (
+        1,
+        [[1, 2], [3], [1]],
+        [
+            ("charge formulations agree", "lp=4 morse=3"),
+            ("charge + cocharge = n(weight) - interior", "3 + 1 != 3 - 2"),
+            ("restriction is a core", "restriction to 1 has shape (1,1)"),
+            ("restriction is a core", "restriction to 3 has shape (2,1,1)"),
+            (
+                "entry occupies one residue, distinct rows and columns",
+                "letter 1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
+            ),
+            (
+                "letter 1 fills the bottom row start",
+                "letter-1 cells [Cell(row=1, col=1), Cell(row=3, col=1)]",
+            ),
+            ("standard duality with explicit constant", "3 != 3*2/2 - 2 - 1"),
+            ("diagonal count through the restriction", "letter 2: 2 != 1"),
+        ],
+    ),
+    (
+        # Letter 3 sits on diagonals 2 and -2 of residue 0 but not on 0.
+        1,
+        [[1, 2, 3], [2], [3]],
+        [
+            ("restriction is a core", "restriction to 3 has shape (3,1,1)"),
+            (
+                "diagonal filling between extremes",
+                "letter 3 misses a residue-0 diagonal in [0]",
+            ),
+            ("diagonal count through the restriction", "letter 3: 2 != 3"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("k,rows,expected", PINNED_FAILURE_DETAILS)
 def test_failure_details_are_pinned(k, rows, expected):
     # Details are rendered lazily; the text of each failure stays exactly
     # what eager rendering gave, loop variables included.
@@ -993,6 +995,28 @@ def test_sweep_bounds_must_be_integers(sweep, names, bad):
         sweep(bad, 3)
     with pytest.raises(ValueError, match=f"^{names[1]} must be an integer, got {bad!r}$"):
         sweep(2, bad)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("2", "processes must be an integer, got '2'"),
+        (2.5, "processes must be an integer, got 2.5"),
+        (True, "processes must be an integer, got True"),
+        (0, "processes must be positive, got 0"),
+        (-3, "processes must be positive, got -3"),
+    ],
+)
+def test_sweep_processes_must_be_a_positive_integer(monkeypatch, bad, message):
+    # min() takes any of these without a word, or fails with TypeError;
+    # each is refused with ValueError before any task runs.
+    def refuse(args):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(sweeps, "_statistics_task", refuse)
+    with pytest.raises(ValueError) as exc:
+        sweeps.run_statistics_sweep(2, 3, processes=bad)
+    assert str(exc.value) == message
 
 
 # lp and morse disagree on 7 tableaux of `kcharge verify --max-k 6
@@ -1269,3 +1293,33 @@ def test_checker_failures_on_known_counterexamples_are_pinned(text, expected):
     assert (checked, [(f.identity, f.detail) for f in failures]) == expected
     assert checked == _identity_count(tab)
     assert all(f.context == ktableaux.to_text(tab) for f in failures)
+
+
+def _clear_kcharge_caches():
+    """Clear every cache of the kcharge modules; returns their names."""
+    cleared = set()
+    for module in (cores, ktableaux, statistics, sweeps, cli):
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+                cleared.add(name)
+    return cleared
+
+
+def test_cache_state_does_not_change_the_checker():
+    # Each input is checked on a new tableau with every cache cleared, then
+    # again after a sweep has filled the caches.  The restriction of
+    # KTableau(1, [[1, 2], [3], [1]]) to 1 has an empty middle row, raw
+    # counts (1, 0, 1), whose verdict is the shape (1,1)'s.
+    inputs = [(k, rows) for k, rows, _ in PINNED_FAILURE_DETAILS]
+    inputs += [(tab.k, tab.rows) for tab in map(ktableaux.parse_text, PER_LETTER_FAILURES)]
+    cold = []
+    for k, rows in inputs:
+        cleared = _clear_kcharge_caches()
+        cold.append(sweeps.check_tableau_identities(KTableau(k, rows)))
+    assert {"_hook_facts", "_restriction_is_core", "_kept_reading_layout", "_cell_row"} <= cleared
+    sweeps.run_statistics_sweep(4, 6)
+    warm = [sweeps.check_tableau_identities(KTableau(k, rows)) for k, rows in reversed(inputs)]
+    assert warm[::-1] == cold
+    details = [[(f.identity, f.detail) for f in failures] for _, failures in cold]
+    assert details[: len(PINNED_FAILURE_DETAILS)] == [e for _, _, e in PINNED_FAILURE_DETAILS]
