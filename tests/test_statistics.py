@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import random
 import re
 from pathlib import Path
@@ -1310,16 +1312,120 @@ def test_cache_state_does_not_change_the_checker():
     # Each input is checked on a new tableau with every cache cleared, then
     # again after a sweep has filled the caches.  The restriction of
     # KTableau(1, [[1, 2], [3], [1]]) to 1 has an empty middle row, raw
-    # counts (1, 0, 1), whose verdict is the shape (1,1)'s.
+    # counts (1, 0, 1), whose verdict is the shape (1,1)'s; its letter 1
+    # fails the entry verdict and letter 3 of KTableau(1, [[1, 2, 3], [2],
+    # [3]]) the filling verdict, both read by class.
     inputs = [(k, rows) for k, rows, _ in PINNED_FAILURE_DETAILS]
     inputs += [(tab.k, tab.rows) for tab in map(ktableaux.parse_text, PER_LETTER_FAILURES)]
     cold = []
     for k, rows in inputs:
         cleared = _clear_kcharge_caches()
         cold.append(sweeps.check_tableau_identities(KTableau(k, rows)))
-    assert {"_hook_facts", "_restriction_is_core", "_kept_reading_layout", "_cell_row"} <= cleared
+    assert {
+        "_hook_facts",
+        "_restriction_is_core",
+        "_class_verdicts",
+        "_class_extremes",
+        "_kept_reading_layout",
+        "_cell_row",
+    } <= cleared
     sweeps.run_statistics_sweep(4, 6)
     warm = [sweeps.check_tableau_identities(KTableau(k, rows)) for k, rows in reversed(inputs)]
     assert warm[::-1] == cold
     details = [[(f.identity, f.detail) for f in failures] for _, failures in cold]
     assert details[: len(PINNED_FAILURE_DETAILS)] == [e for _, _, e in PINNED_FAILURE_DETAILS]
+
+
+def test_class_facts_match_a_direct_computation_at_5_7():
+    # Every multi-cell class (cells, n) of the benchmark's range, each read
+    # once cold and once warm, against the literal definitions.
+    classes = set()
+    for k, mu in sweeps.weights_up_to(5, 7):
+        for tab in enumerate_k_tableaux(k, mu):
+            for seq in standard_sequences(tab):
+                classes.update((e.cells, k + 1) for e in seq.entries if len(e.cells) > 1)
+    assert len({cells for cells, _ in classes}) == 52
+    statistics._class_extremes.cache_clear()
+    sweeps._class_verdicts.cache_clear()
+    for _ in range(2):
+        for cells, n in classes:
+            seq = StandardSequence((ktableaux.SequenceEntry(1, 0, cells),))
+            low, high = lowest_occurrence(seq, 1), highest_occurrence(seq, 1)
+            bottom = lowest_addable(cells).col - 1 if any(c.row == 1 for c in cells) else 0
+            assert statistics._class_extremes(cells) == (low, high, bottom)
+            one_class = (
+                len({residue(c, n) for c in cells}) == 1
+                and len({c.row for c in cells}) == len(cells)
+                and len({c.col for c in cells}) == len(cells)
+            )
+            diagonals = {diagonal(c) for c in cells}
+            lo, hi = sorted((diagonal(low), diagonal(high)))
+            between = [d for d in range(lo + 1, hi) if (d - lo) % n == 0]
+            missed = between if not diagonals.issuperset(between) else None
+            ok, got_diagonals, got_missed = sweeps._class_verdicts(cells, n)
+            assert (ok, got_diagonals) == (one_class, diagonals)
+            assert (None if got_missed is None else list(got_missed)) == missed
+
+
+def test_class_verdicts_read_the_modulus():
+    # One cell set on diagonals 0 and 6: between its extremes it misses the
+    # residue diagonals at n = 2 and n = 3, and none at n = 6.  Another on
+    # diagonals 0 and 3 is one residue class at n = 3 but not at n = 2.  A
+    # verdict kept by the cells alone would repeat its first answer.
+    sweeps._class_verdicts.cache_clear()
+    wide = frozenset({Cell(1, 1), Cell(2, 8)})
+    assert [
+        (ok, sorted(diagonals), None if missed is None else list(missed))
+        for ok, diagonals, missed in (sweeps._class_verdicts(wide, n) for n in (2, 3, 6))
+    ] == [(True, [0, 6], [2, 4]), (True, [0, 6], [3]), (True, [0, 6], None)]
+    narrow = frozenset({Cell(1, 1), Cell(2, 5)})
+    assert [sweeps._class_verdicts(narrow, n)[0] for n in (3, 2, 3)] == [True, False, True]
+
+
+def test_parallel_sweep_is_the_serial_report_on_a_failing_range(monkeypatch):
+    # 6/9 has 12,981 tableaux and 18 failures in four tasks, which two
+    # workers start in the reverse of their canonical order (at 5/9 all
+    # three failures are in one task, which cannot show the merge order).
+    # The report merges the tasks back in canonical order, so it equals
+    # the serial one, failure order included.
+    serial = sweeps.run_statistics_sweep(6, 9)
+    assert (serial.subjects_checked, len(serial.failures)) == (12981, 18)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert sweeps.run_statistics_sweep(6, 9, processes=2) == serial
+
+
+def test_parallel_sweep_starts_the_largest_tasks_first(monkeypatch):
+    # The recorder stands in for the pool, starts no process and returns
+    # the reports in the order it was handed the tasks; each task's report
+    # fails once, naming the task, so the merged failures show the order
+    # in which the reports were merged.
+    handed = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            handed.extend(tasks)
+            return [fn(task) for task in tasks]
+
+    def tagged(task):
+        return sweeps.SweepReport(1, 1, [sweeps.SweepFailure("task", repr(task), "")])
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "_statistics_task", tagged)
+    report = sweeps.run_statistics_sweep(4, 5, processes=2)
+    assert report == sweeps.run_statistics_sweep(4, 5)
+    canonical = [(k, tuple(mu)) for k, mu in sweeps.weights_up_to(4, 5)]
+    assert [failure.detail for failure in report.failures] == list(map(repr, canonical))
+    assert sorted(handed) == sorted(canonical) and handed != canonical
+    keys = [(sum(mu), len(mu), k) for k, mu in handed]
+    assert keys == sorted(keys, reverse=True)
+    assert handed[0] == (4, (1, 1, 1, 1, 1))
