@@ -269,7 +269,6 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     # count of them.  On a standard tableau each letter spans one residue,
     # so its cells are its entry in the one standard sequence, whose class
     # gives its diagonals and the filling verdict (`_class_verdicts`).
-    verdicts = _class_verdicts
     if standard:
         # Letter 1 has one cell, so the tableau has one standard sequence,
         # whose diagonal corrections the walk loop left in add_low and
@@ -281,6 +280,7 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     letters = range(1, max(by_letter, default=0) + 1)
     row_counts = [0] * len(tab.rows)
     is_core = _restriction_is_core
+    verdicts = _class_verdicts
     for i in letters:
         cells = by_letter.get(i, ())
         for row, _ in cells:
