@@ -358,6 +358,16 @@ class StandardSequence(namedtuple("StandardSequence", "entries")):
         return tuple([e.residue for e in self.entries])
 
 
+def _sequence_fault(weight: tuple[int, ...], k: int) -> str | None:
+    """Why a tableau of this weight has no standard sequences (its weight
+    is not a partition, or has a part exceeding k), or None."""
+    if _partition_fault(weight):
+        return f"weight {weight} is not a partition"
+    if max(weight, default=0) > k:
+        return f"weight {weight} has a part exceeding k={k}"
+    return None
+
+
 def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     """Split a k-tableau into its standard sequences.
 
@@ -369,15 +379,26 @@ def standard_sequences(tab: KTableau) -> list[StandardSequence]:
     the tableau's residue-class index, shared with `weight` and `validate`.
     A standard weight (every part 1) has one sequence, each letter's one
     class in turn, which is read directly.
+
+    This function checks the weight, and raises ValueError unless it is a
+    partition with parts at most k; the split itself is
+    `_split_sequences`, which checks nothing.
     """
-    n = tab.k + 1
     weight = tab.weight
-    if _partition_fault(weight):
-        raise ValueError(f"weight {weight} is not a partition")
-    if max(weight, default=0) > tab.k:
-        raise ValueError(f"weight {weight} has a part exceeding k={tab.k}")
+    fault = _sequence_fault(weight, tab.k)
+    if fault is not None:
+        raise ValueError(fault)
+    return _split_sequences(tab, weight)
+
+
+def _split_sequences(tab: KTableau, weight: Sequence[int]) -> list[StandardSequence]:
+    """The standard sequences of `tab`, as `standard_sequences` splits
+    them, for a caller that knows the weight: `weight` must be the
+    tableau's, a partition with parts at most k, as `validate(tab, weight)`
+    shows; nothing here checks it."""
     if not weight:
         return []
+    n = tab.k + 1
     # A partition has no zero part, so every letter 1..len(weight) is a key.
     index = tab._residue_index()
     letters = range(1, len(weight) + 1)

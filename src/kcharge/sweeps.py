@@ -15,6 +15,8 @@ from functools import lru_cache
 from .cores import Cell, Partition, _hook_facts, _strict_int, n_stat, partitions
 from .ktableaux import (
     KTableau,
+    _sequence_fault,
+    _split_sequences,
     enumerate_k_tableaux,
     standard_sequences,
     to_text,
@@ -125,9 +127,10 @@ def _class_verdicts(
     them, else None) for a cell set of more than one cell: the entry
     verdict and the filling facts that `check_tableau_identities` reads of
     a residue class.  The classes of a sweep repeat: 6/9 reads 110 distinct
-    multi-cell classes among 21,589 lookups (15,367 entries and 6,222
-    standard letters), so the cache of the 4,096 most recent keys decides
-    each about once per process."""
+    multi-cell classes among 15,367 lookups, one per multi-cell entry of
+    its standard sequences (a standard tableau's are read by its letter
+    pass, the others' by the entry pass), so the cache of the 4,096 most
+    recent keys decides each about once per process."""
     rows, cols = zip(*cells)
     one_class = (
         len({(col - row) % n for row, col in cells}) == 1
@@ -200,28 +203,36 @@ for _identity in IDENTITIES:
 def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[SweepFailure]]:
     """Run every identity of `IDENTITIES` on one tableau.
 
-    `facts` is `_weight_facts(tab.weight)`, which a caller that checks many
-    tableaux of one weight computes once; without it, it is computed here.
+    `facts` is `_weight_facts(weight)` for a weight that `validate(tab,
+    weight)` accepted, which a caller that checks many tableaux of one
+    weight computes once: the weight is then a partition with parts at
+    most k, so the standard sequences are split without checking it again
+    (`ktableaux._split_sequences`) and the letters are 1..len(weight).
+    Without it, `standard_sequences` checks the weight, raising ValueError
+    unless it is such a partition, and the facts are computed here.
     Returns (number of identities checked, failures in `IDENTITIES` order).
     The facts are read in fused passes.  The walk loop reads each standard
     sequence as `_walk` reads it: `statistics._steps` returns its ten
     columns, which give the four totals, and the loop checks that sequence's
     L and I entry by entry.  A standard tableau's one sequence leaves its
-    diagonal vectors to the letter pass.  The letter pass, over letters
-    1..max, keeps each row's count of the letters so far and looks up
+    diagonal vectors to the letter pass.  The letter pass, over the
+    letters, keeps each row's count of the letters so far and looks up
     whether that restriction is a core by the raw counts, zero rows
     included (`_restriction_is_core`), so the shape is built only for a
-    failure's detail; it also gives each letter's cell count and, on a
-    standard tableau, both diagonal rules.  There a letter's cells are its
-    one class, its entry in the one standard sequence; a class of more
-    than one cell gives its diagonals and the residue diagonals it misses
-    between its extremes from one lookup of `_class_verdicts`, keyed by
-    the class and n.  The entry pass, over the entries of the standard
-    sequences, gives the partition of the cells, and each multi-cell
-    entry's verdict (one residue, distinct rows and columns) from the same
-    lookup; a one-cell entry passes without one.  The large-k identity
-    reads the classical charge and cocharge from one classical charge
-    computation.
+    failure's detail; it also gives each letter's cell count.  On a
+    standard tableau it is the one pass over the letters' classes: there a
+    letter's cells are its one class, its entry in the one standard
+    sequence, and the pass checks both diagonal rules and the entry, and
+    adds the class to the partition of the cells.  A class of more than
+    one cell gives its entry verdict (one residue, distinct rows and
+    columns), its diagonals and the residue diagonals it misses between
+    its extremes from one lookup of `_class_verdicts`, keyed by the class
+    and n; a one-cell class passes the entry check without one.  Only a
+    tableau that is not standard has an entry pass, over the entries of
+    its standard sequences, which gives the partition of the cells and
+    each multi-cell entry's verdict from the same lookup.  The large-k
+    identity reads the classical charge and cocharge from one classical
+    charge computation.
 
     The sign identities read `lp`, the formulation that is not manifestly
     non-negative.  That its totals are non-negative is the theorem; that
@@ -235,9 +246,14 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     """
     k = tab.k
     n = k + 1
-    seqs = standard_sequences(tab)
-    # `standard_sequences` raises unless the weight is a partition.
-    mu, n_weight, standard, m, letter1_expected = facts or _weight_facts(tab.weight)
+    if facts is None:
+        # Raises unless the weight is a partition with parts at most k.
+        seqs = standard_sequences(tab)
+        mu, n_weight, standard, m, letter1_expected = _weight_facts(tab.weight)
+    else:
+        # The caller's `validate(tab, mu)` showed that mu is the weight.
+        mu, n_weight, standard, m, letter1_expected = facts
+        seqs = _split_sequences(tab, mu)
     lam = tab.shape
     # (identity, detail) of each failure, in the order the passes find them.
     found: list[tuple[Identity, str]] = []
@@ -268,16 +284,21 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     # The letter pass.  The restriction to letters <= i keeps each row's
     # count of them.  On a standard tableau each letter spans one residue,
     # so its cells are its entry in the one standard sequence, whose class
-    # gives its diagonals and the filling verdict (`_class_verdicts`).
+    # gives its entry verdict, its diagonals and the filling verdict
+    # (`_class_verdicts`), and its share of the partition of the cells.
+    seen: set[Cell] = set()
+    covered = entries = 0
     if standard:
         # Letter 1 has one cell, so the tableau has one standard sequence,
         # whose diagonal corrections the walk loop left in add_low and
         # add_high.
         standard_entries = seqs[0].entries
+        entries = m
         # residue -> the diagonals of that residue met by letters <= i.
         meeting: dict[int, set[int]] = {}
     by_letter = tab._letter_index()
-    letters = range(1, max(by_letter, default=0) + 1)
+    # A partition weight has no zero part: the letters are 1..len(mu).
+    letters = range(1, m + 1)
     row_counts = [0] * len(tab.rows)
     is_core = _restriction_is_core
     verdicts = _class_verdicts
@@ -290,15 +311,20 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
             found.append((CORE, f"restriction to {i} has shape {shape}"))
         if standard:
             _, res, letter_class = standard_entries[i - 1]
+            seen |= letter_class
+            covered += len(letter_class)
             met = meeting.get(res)
             if met is None:
                 met = meeting[res] = set()
             if len(cells) == 1:
-                # One cell is both extremes, with no diagonal between them.
+                # One cell is both extremes, with no diagonal between them,
+                # and has one residue, one row and one column.
                 ((row, col),) = cells
                 met.add(col - row)
             else:
-                _, diagonals, missed = verdicts(letter_class, n)
+                one_class, diagonals, missed = verdicts(letter_class, n)
+                if not one_class:
+                    found.append((ENTRY, f"letter {i} cells {sorted(letter_class)}"))
                 met |= diagonals
                 if missed is not None:
                     detail = f"letter {i} misses a residue-{res} diagonal in {list(missed)}"
@@ -307,17 +333,16 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
             if count != len(met):
                 found.append((MEETING, f"letter {i}: {count} != {len(met)}"))
 
-    # The entry pass.
-    seen: set[Cell] = set()
-    covered = entries = 0
-    for seq in seqs:
-        entries += len(seq.entries)
-        for letter, _, cells in seq.entries:
-            seen |= cells
-            covered += len(cells)
-            # One cell has one residue, one row and one column.
-            if len(cells) > 1 and not verdicts(cells, n)[0]:
-                found.append((ENTRY, f"letter {letter} cells {sorted(cells)}"))
+    # The entry pass, over the sequences of a tableau that is not standard.
+    if not standard:
+        for seq in seqs:
+            entries += len(seq.entries)
+            for letter, _, cells in seq.entries:
+                seen |= cells
+                covered += len(cells)
+                # One cell has one residue, one row and one column.
+                if len(cells) > 1 and not verdicts(cells, n)[0]:
+                    found.append((ENTRY, f"letter {letter} cells {sorted(cells)}"))
     if not covered == len(seen) == lam.size():
         found.append((PARTITION, f"{covered} cells over sequences vs {lam.size()} in shape"))
 
@@ -371,9 +396,15 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     while tableaux:
         tab = tableaux.pop()
         ok = validate(tab, weight)
-        if not ok:
+        if ok:
+            checked, failures = check_tableau_identities(tab, facts)
+        else:
             failed.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
-        checked, failures = check_tableau_identities(tab, facts if ok else None)
+            if _sequence_fault(tab.weight, k) is not None:
+                # Its standard sequences are undefined, so validation is
+                # the one identity checked on it.
+                continue
+            checked, failures = check_tableau_identities(tab)
         identities += checked
         failed += failures
     return SweepReport(subjects, identities, failed)

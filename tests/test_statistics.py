@@ -730,6 +730,38 @@ PINNED_FAILURE_DETAILS = [
             ("diagonal count through the restriction", "letter 3: 2 != 3"),
         ],
     ),
+    (
+        # Standard: letters 1 and 3 each fill two cells of one column, and
+        # letter 1 sits on diagonals 0 and -4 of residue 0 but not on -2.
+        # The letter pass finds both entry failures, which still follow the
+        # restriction failures and precede letter 1's.
+        1,
+        [[1], [3], [2], [3], [1]],
+        [
+            ("charge formulations agree", "lp=0 morse=2"),
+            ("charge + cocharge = n(weight) - interior", "2 + 2 != 3 - 4"),
+            ("restriction is a core", "restriction to 1 has shape (1,1)"),
+            ("restriction is a core", "restriction to 2 has shape (1,1,1)"),
+            ("restriction is a core", "restriction to 3 has shape (1,1,1,1,1)"),
+            (
+                "entry occupies one residue, distinct rows and columns",
+                "letter 1 cells [Cell(row=1, col=1), Cell(row=5, col=1)]",
+            ),
+            (
+                "entry occupies one residue, distinct rows and columns",
+                "letter 3 cells [Cell(row=2, col=1), Cell(row=4, col=1)]",
+            ),
+            (
+                "letter 1 fills the bottom row start",
+                "letter-1 cells [Cell(row=1, col=1), Cell(row=5, col=1)]",
+            ),
+            ("standard duality with explicit constant", "2 != 3*2/2 - 4 - 2"),
+            (
+                "diagonal filling between extremes",
+                "letter 1 misses a residue-0 diagonal in [-2]",
+            ),
+        ],
+    ),
 ]
 
 
@@ -979,6 +1011,62 @@ def test_task_checks_a_tableau_of_another_weight_by_its_own_weight(monkeypatch):
     )
     # The task's own weight would give another duality constant.
     assert failures != sweeps.check_tableau_identities(tab, sweeps._weight_facts((3, 3, 2)))[1]
+
+
+def test_validated_path_equals_the_one_argument_check():
+    # A task passes its weight's facts only for a tableau that validated
+    # with that weight; the checker then splits the sequences without
+    # re-checking the weight.  No tableau of PINNED_FAILURE_DETAILS
+    # validates, so the known counterexamples supply failures to compare.
+    tabs = [
+        (tab, mu)
+        for k, mu in sweeps.weights_up_to(5, 7)
+        for tab in enumerate_k_tableaux(k, mu)
+    ]
+    tabs += [(tab, tab.weight) for tab in map(ktableaux.parse_text, PER_LETTER_FAILURES)]
+    assert all(ktableaux.validate(tab, mu) for tab, mu in tabs)
+    failing = 0
+    for tab, mu in tabs:
+        expected = sweeps.check_tableau_identities(tab)
+        assert sweeps.check_tableau_identities(tab, sweeps._weight_facts(tuple(mu))) == expected
+        failing += bool(expected[1])
+    assert failing == len(PER_LETTER_FAILURES)
+
+
+@pytest.mark.parametrize(
+    "k,weight,rows,problem",
+    [
+        # Weight (1,2): not a partition.
+        (3, (2, 1), [[1, 2, 2]], "letter 1 spans 1 residues, expected 2"),
+        # Weight (2,): a partition with a part exceeding k = 1.
+        (1, (1,), [[1, 1]], "shape (2) is not a 2-core"),
+    ],
+    ids=["not-a-partition", "part-exceeds-k"],
+)
+def test_task_checks_only_validation_on_a_tableau_without_sequences(
+    monkeypatch, capsys, k, weight, rows, problem
+):
+    # A tableau that fails validation with a weight that has no standard
+    # sequences counts one identity, its failed validation, and the sweep
+    # goes on; `verify` reports it and exits 1.
+    bad = KTableau(k, rows)
+    original = sweeps.enumerate_k_tableaux
+    clean = sweeps.run_statistics_sweep(k, sum(weight))
+
+    def with_bad(task_k, task_weight):
+        found = original(task_k, task_weight)
+        return found + [bad] if (task_k, task_weight) == (k, weight) else found
+
+    monkeypatch.setattr(sweeps, "enumerate_k_tableaux", with_bad)
+    report = sweeps.run_statistics_sweep(k, sum(weight))
+    failure = sweeps.SweepFailure(sweeps.VALIDATES.name, problem, ktableaux.to_text(bad))
+    assert report == sweeps.SweepReport(
+        clean.subjects_checked + 1, clean.identities_checked + 1, [failure]
+    )
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert cli.main(["verify", "--max-k", str(k), "--max-weight", str(sum(weight))]) == 1
+    out = capsys.readouterr().out
+    assert f"counterexample [{sweeps.VALIDATES.name}] {problem}" in out
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "2"])
