@@ -374,33 +374,45 @@ def classical_charge(rows: Sequence[Sequence[int]]) -> int:
     split into standard subwords whose charges are summed.  Letters are
     read as `KTableau` reads them: every letter must be an integer (bools,
     floats and strings raise ValueError), and then positive, and the
-    weight a partition.
-
-    The word is never rebuilt.  One pass lists each letter's positions in
-    ascending order, and each subword takes positions out of those lists:
-    the right-most 1, then for each next letter its nearest position to
-    the left of the previous one, or its right-most when none is left of
-    it.  Only such a wrap moves right, and each wrap raises the running
-    index that the subword's charge sums.
+    weight a partition.  These checks come first, each with its own
+    message; the charge itself is `_charge`, the loop that
+    `kostka_foulkes_table` and the sweep's large-k identity also call
+    directly, on rows they know to meet its precondition.
     """
     # Exact ints skip `_strict_int`, as in `KTableau`.
     rows = [[x if type(x) is int else _strict_int(x, "letter") for x in row] for row in rows]
-    word = [x for row in reversed(rows) for x in row]
+    word = [x for row in rows for x in row]
     if min(word, default=1) < 1:
-        bad = next(x for row in rows for x in row if x < 1)
+        bad = next(x for x in word if x < 1)
         raise ValueError(f"letters must be positive, got {bad}")
+    # The weight is counted before any position list is made, so a letter
+    # far above the cell count costs no list per letter.
     top = max(word, default=0)
-    if top > len(word):
-        # Some letter is missing: the weight is counted without a position
-        # list per letter.
-        counts = Counter(word)
-        raise ValueError(f"weight {[counts[x] for x in range(1, top + 1)]} is not a partition")
-    positions: list[list[int]] = [[] for _ in range(top)]
-    for pos, x in enumerate(word):
-        positions[x - 1].append(pos)
-    counts = list(map(len, positions))
-    if _partition_fault(counts):
-        raise ValueError(f"weight {counts} is not a partition")
+    counts = Counter(word)
+    weight = [counts[x] for x in range(1, top + 1)]
+    if _partition_fault(weight):
+        raise ValueError(f"weight {weight} is not a partition")
+    return _charge(rows, top)
+
+
+def _charge(rows: Sequence[Sequence[int]], m: int) -> int:
+    """The charge of `classical_charge`, for rows whose letters are known to
+    be 1..m with a partition weight; nothing here checks them.
+
+    The word is never rebuilt.  One pass over the rows, top to bottom and
+    each left to right, lists each letter's positions in the reading word
+    in ascending order, and each subword takes positions out of those
+    lists: the right-most 1, then for each next letter its nearest
+    position to the left of the previous one, or its right-most when none
+    is left of it.  Only such a wrap moves right, and each wrap raises the
+    running index that the subword's charge sums.
+    """
+    positions: list[list[int]] = [[] for _ in range(m)]
+    pos = 0
+    for row in reversed(rows):
+        for x in row:
+            positions[x - 1].append(pos)
+            pos += 1
     if not positions:
         return 0
     ones, *later = positions
@@ -441,10 +453,13 @@ def kostka_foulkes_table(weight: Sequence[int]) -> dict[Partition, TPolynomial]:
     """Charge generating polynomials over classical semistandard tableaux,
     keyed by shape; shapes with no tableaux are omitted.  The weight must
     be a partition with positive integer parts, checked before any filling
-    is built."""
+    is built.  Each filling's letters are then 1..len(weight) with that
+    weight, by construction, so its charge is read by `_charge` without
+    `classical_charge`'s checks."""
     weight = _table_weight(weight)
+    m = len(weight)
     return _shape_table(
-        (shape, classical_charge(rows))
+        (shape, _charge(rows, m))
         for shape in partitions(sum(weight))
-        for rows in semistandard_fillings(shape, len(weight), weight)
+        for rows in semistandard_fillings(shape, m, weight)
     )

@@ -12,7 +12,7 @@ import os
 from collections import namedtuple
 from functools import lru_cache
 
-from .cores import Cell, Partition, _hook_facts, _strict_int, n_stat, partitions
+from .cores import Cell, Partition, _hook_facts, _partition_fault, _strict_int, n_stat, partitions
 from .ktableaux import (
     KTableau,
     _sequence_fault,
@@ -22,7 +22,7 @@ from .ktableaux import (
     to_text,
     validate,
 )
-from .statistics import _classical_statistics, _steps
+from .statistics import _charge, _classical_statistics, _steps
 
 
 # One failed check: the identity's name, what failed, and the text of the
@@ -230,9 +230,14 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     and n; a one-cell class passes the entry check without one.  Only a
     tableau that is not standard has an entry pass, over the entries of
     its standard sequences, which gives the partition of the cells and
-    each multi-cell entry's verdict from the same lookup.  The large-k
-    identity reads the classical charge and cocharge from one classical
-    charge computation.
+    each multi-cell entry's verdict from the same lookup.  On a large-k
+    tableau the identity "large k degenerates to a classical tableau",
+    that each letter's cell count is its part of mu, gates the classical
+    one: when it holds, the rows' classical weight is mu, so the charge is
+    read by `statistics._charge`, which checks nothing, and the cocharge
+    is n(mu) minus it.  When it fails, the checked `classical_charge`
+    reads them, unless the cell counts are no partition and so have no
+    classical charge, which fails the classical identity too.
 
     The sign identities read `lp`, the formulation that is not manifestly
     non-negative.  That its totals are non-negative is the theorem; that
@@ -358,10 +363,18 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     large = k > (lam[0] if lam else 0) + len(lam) - 2
     if large:
         counts = tuple([len(by_letter.get(i, ())) for i in letters])
-        if counts != tuple(mu):
+        if counts == mu:
+            # The classical weight is mu, a partition, and the letters are
+            # 1..m: the trusted loop's precondition.
+            charge = _charge(tab.rows, m)
+            classical = charge, n_weight - charge
+        else:
             found.append((LARGE_K, f"cell counts {counts} vs weight {tuple(mu)}"))
-        classical = _classical_statistics(tab.rows)
-        if (charge_morse, cocharge_morse) != classical:
+            # Cell counts that are no partition have no classical charge.
+            classical = None if _partition_fault(counts) else _classical_statistics(tab.rows)
+        if classical is None:
+            found.append((CLASSICAL, f"cell counts {counts} are not a partition"))
+        elif (charge_morse, cocharge_morse) != classical:
             detail = f"k-stats ({charge_morse}, {cocharge_morse}) vs classical {classical}"
             found.append((CLASSICAL, detail))
 
@@ -382,6 +395,16 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     return checked, [SweepFailure(identity.name, detail, context) for identity, detail in found]
 
 
+def _starts_in_bottom_row(tab: KTableau) -> bool:
+    """Whether each residue class of letter 1, where a standard sequence
+    starts, has a bottom-row cell.  The step rule (`statistics._steps`)
+    raises on a sequence whose start has none; a k-tableau's letter 1
+    lies in the bottom row, so only a tableau that fails validation is
+    asked."""
+    ones = tab._residue_index().get(1, {})
+    return all(any(row == 1 for row, _ in cells) for cells in ones.values())
+
+
 def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     k, weight = args
     # Popped one at a time, so each tableau and its indexes are freed once
@@ -400,9 +423,9 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
             checked, failures = check_tableau_identities(tab, facts)
         else:
             failed.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
-            if _sequence_fault(tab.weight, k) is not None:
-                # Its standard sequences are undefined, so validation is
-                # the one identity checked on it.
+            if _sequence_fault(tab.weight, k) is not None or not _starts_in_bottom_row(tab):
+                # Its standard sequences are undefined, or one cannot be
+                # walked, so validation is the one identity checked on it.
                 continue
             checked, failures = check_tableau_identities(tab)
         identities += checked

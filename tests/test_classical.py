@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from kcharge import statistics
-from kcharge.cores import Cell, Partition, n_stat, partitions
+from kcharge.cores import Cell, Partition, n_stat, partitions, semistandard_fillings
 from kcharge.ktableaux import enumerate_k_tableaux, standard_sequences, to_text
 from kcharge.statistics import (
     TPolynomial,
@@ -369,9 +369,10 @@ def _assert_extraction_is_classical(tab):
     assert sequences == classical, to_text(tab)
 
 
-def test_large_k_standard_sequences_are_the_classical_subwords(random_tableaux):
-    # At large k every residue class is one cell, and the standard
-    # sequences are the Lascoux-Schutzenberger extraction of the reading word.
+@pytest.fixture(scope="module")
+def large_k_tableaux(random_tableaux):
+    """Every large-k tableau of `weights_up_to(6, 9)`, then those of the
+    seeded random fixture."""
     tableaux = [
         tab
         for k, mu in weights_up_to(6, 9)
@@ -381,5 +382,28 @@ def test_large_k_standard_sequences_are_the_classical_subwords(random_tableaux):
     assert len(tableaux) == 3812
     fixture = [tab for _, tab in random_tableaux if _large_k(tab)]
     assert len(fixture) >= 30
-    for tab in tableaux + fixture:
+    return tableaux + fixture
+
+
+def test_large_k_standard_sequences_are_the_classical_subwords(large_k_tableaux):
+    # At large k every residue class is one cell, and the standard
+    # sequences are the Lascoux-Schutzenberger extraction of the reading word.
+    for tab in large_k_tableaux:
         _assert_extraction_is_classical(tab)
+
+
+def test_trusted_charge_loop_is_the_literal_extraction(large_k_tableaux):
+    # `statistics._charge` checks nothing: the sweep's large-k identity
+    # gives it a tableau's rows once their cell counts equal the weight,
+    # and `kostka_foulkes_table` every filling of a partition weight.
+    for tab in large_k_tableaux:
+        rows = tab.rows
+        assert statistics._charge(rows, len(tab.weight)) == classical_charge_literal(rows), rows
+    fillings = 0
+    for size in range(1, 8):
+        for mu in partitions(size):
+            for lam in partitions(size):
+                for rows in semistandard_fillings(lam, len(mu), mu):
+                    assert statistics._charge(rows, len(mu)) == classical_charge_literal(rows), rows
+                    fillings += 1
+    assert fillings == 836

@@ -647,10 +647,11 @@ def test_restriction_that_is_not_a_core_is_reported():
 def test_passing_identities_render_no_text(monkeypatch):
     # The counterexample text is rendered only for a failing identity, and
     # the large-k identity reads the classical charge and cocharge from one
-    # classical charge computation.  The name is patched wherever a module
-    # could call it; sweeps no longer imports it.
+    # run of the trusted charge loop, once the cell counts equal the
+    # weight, without `classical_charge`'s checks.  Each name is patched
+    # wherever a module could call it; sweeps imports only the loop.
     tab = enumerate_k_tableaux(9, (2, 1))[0]
-    calls = {"to_text": 0, "classical_charge": 0}
+    calls = {"to_text": 0, "classical_charge": 0, "_charge": 0}
 
     def counting(name, original):
         def wrapper(*args):
@@ -660,12 +661,13 @@ def test_passing_identities_render_no_text(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sweeps, "to_text", counting("to_text", sweeps.to_text))
-    charge = counting("classical_charge", statistics.classical_charge)
-    for module in (statistics, sweeps):
-        monkeypatch.setattr(module, "classical_charge", charge, raising=False)
+    for name in ("classical_charge", "_charge"):
+        wrapper = counting(name, getattr(statistics, name))
+        for module in (statistics, sweeps):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
     checked, failures = sweeps.check_tableau_identities(tab)
     assert checked and not failures
-    assert calls == {"to_text": 0, "classical_charge": 1}
+    assert calls == {"to_text": 0, "classical_charge": 0, "_charge": 1}
 
 
 # Small fillings, not all of them k-tableaux: (k, rows, the checker's
@@ -1040,15 +1042,19 @@ def test_validated_path_equals_the_one_argument_check():
         (3, (2, 1), [[1, 2, 2]], "letter 1 spans 1 residues, expected 2"),
         # Weight (2,): a partition with a part exceeding k = 1.
         (1, (1,), [[1, 1]], "shape (2) is not a 2-core"),
+        # Weight (1,1), but letter 1 lies above the bottom row, so its one
+        # sequence has no lowest addable cell to walk from.
+        (2, (1, 1), [[2], [1]], "column fails to increase bottom-to-top"),
     ],
-    ids=["not-a-partition", "part-exceeds-k"],
+    ids=["not-a-partition", "part-exceeds-k", "letter-1-off-the-bottom-row"],
 )
 def test_task_checks_only_validation_on_a_tableau_without_sequences(
     monkeypatch, capsys, k, weight, rows, problem
 ):
     # A tableau that fails validation with a weight that has no standard
-    # sequences counts one identity, its failed validation, and the sweep
-    # goes on; `verify` reports it and exits 1.
+    # sequences, or with a sequence that cannot be walked, counts one
+    # identity, its failed validation, and the sweep goes on; `verify`
+    # reports it and exits 1.
     bad = KTableau(k, rows)
     original = sweeps.enumerate_k_tableaux
     clean = sweeps.run_statistics_sweep(k, sum(weight))
@@ -1067,6 +1073,43 @@ def test_task_checks_only_validation_on_a_tableau_without_sequences(
     assert cli.main(["verify", "--max-k", str(k), "--max-weight", str(sum(weight))]) == 1
     out = capsys.readouterr().out
     assert f"counterexample [{sweeps.VALIDATES.name}] {problem}" in out
+
+
+def test_large_k_check_names_cell_counts_that_are_no_partition(monkeypatch, capsys):
+    # Residue weight (1,1,1) but cell counts (1,2,1), at large k: the
+    # large-k identity fails, and the classical one fails naming the
+    # counts, which have no classical charge, where the checker used to
+    # raise.  The sweep goes on and `verify` exits 1.
+    bad = KTableau(4, [[2, 1], [3, 2]])
+    original = sweeps.enumerate_k_tableaux
+    clean = sweeps.run_statistics_sweep(4, 3)
+    assert clean.ok
+
+    def with_bad(task_k, task_weight):
+        found = original(task_k, task_weight)
+        return found + [bad] if (task_k, task_weight) == (4, (1, 1, 1)) else found
+
+    monkeypatch.setattr(sweeps, "enumerate_k_tableaux", with_bad)
+    report = sweeps.run_statistics_sweep(4, 3)
+    context = ktableaux.to_text(bad)
+    expected = [
+        (sweeps.VALIDATES, "row decreases left-to-right"),
+        (sweeps.COCHARGE_AGREE, "lp=1 morse=3"),
+        (sweeps.LETTER_1, "letter-1 cells [Cell(row=1, col=2)]"),
+        (sweeps.MEETING, "letter 2: 2 != 1"),
+        (sweeps.LARGE_K, "cell counts (1, 2, 1) vs weight (1, 1, 1)"),
+        (sweeps.CLASSICAL, "cell counts (1, 2, 1) are not a partition"),
+    ]
+    failures = [sweeps.SweepFailure(identity.name, d, context) for identity, d in expected]
+    # Its validation and the 23 identities checked on it by its own weight.
+    assert report == sweeps.SweepReport(
+        clean.subjects_checked + 1, clean.identities_checked + 1 + 23, failures
+    )
+    monkeypatch.delenv("KCHARGE_THREADS", raising=False)
+    assert cli.main(["verify", "--max-k", "4", "--max-weight", "3"]) == 1
+    out = capsys.readouterr().out
+    identity, detail = expected[-1]
+    assert f"counterexample [{identity.name}] {detail}" in out
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "2"])
