@@ -143,12 +143,10 @@ def _hook_facts(parts: tuple[int, ...], n: int) -> tuple[Cell | None, int]:
     """(the first cell, bottom row first, whose hook length is n, or None;
     the number of hooks below n) of the shape with these parts, from one
     pass over the cells' hook lengths, arm + leg + 1.  Shapes repeat
-    across the tableaux of a sweep (134 distinct (shape, n) among the 2,808
-    lookups of `verify --max-k 5 --max-weight 7`, 331 among 27,036 at 6/9),
-    so each shape's pass is made once while it stays among the 4,096 most
-    recent.
-    The checked Partition is built only on a miss, so parts that are not a
-    partition raise on every call, as exceptions are not cached."""
+    across the tableaux of a sweep, so each shape's pass is made once while
+    it stays among the 4,096 most recent.  The checked Partition is built
+    only on a miss, so parts that are not a partition raise on every call,
+    as exceptions are not cached."""
     shape = Partition(parts)
     conj = shape.conjugate()
     first = None

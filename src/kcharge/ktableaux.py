@@ -30,8 +30,8 @@ from .cores import (
 # kept (`_kept_text_layout`, `_kept_reading_layout`), and the longest row
 # whose cells `_cell_row` shares.  A larger shape or a longer row is made
 # for its call alone, so that one huge tableau does not stay in a cache.
-# The (k, shape) pairs a process reads repeat: 6/9 reads 331 among its
-# 12,981 tableaux, whose shapes have at most 45 cells.
+# The (k, shape) pairs a process reads repeat, and a sweep's shapes are
+# small.
 _KEPT_LAYOUT_CELLS = 64
 
 
@@ -53,11 +53,9 @@ def _cell_row(i: int, length: int) -> tuple[tuple[Cell, frozenset[Cell]], ...]:
     layout with a row i of that length.
 
     Only a layout that is made reads it, and the rows of a sweep's shapes
-    repeat: a cold `verify --max-k 5 --max-weight 7` reads 28 distinct keys
-    among 446 rows and 6/9 reads 45 among 1,334, so the cache of the 4,096
-    most recent keys makes each row's cells about once per process.  It
-    holds no letters, so the index that reads it stays independent of how
-    the tableau was built."""
+    repeat, so the cache of the 4,096 most recent keys makes each row's
+    cells about once per process.  It holds no letters, so the index that
+    reads it stays independent of how the tableau was built."""
     return tuple(_row_cells(i, length))
 
 
@@ -457,10 +455,8 @@ def _weak_strips(shape: Partition, n: int, size: int) -> tuple[Partition, ...]:
 
     The strips are a pure function of (shape, n, size) and the chains of a
     sweep pass through few cores, so they are kept in a cache of the 4,096
-    most recent keys and returned as a tuple, which no caller can change.
-    `verify --max-k 5 --max-weight 7` makes 1,146 calls on 139 distinct
-    keys, 6/9 makes 9,087 on 362 and 7/10 makes 34,903 on 645, so each
-    core's strips are grown about once per process.
+    most recent keys and returned as a tuple, which no caller can change;
+    each core's strips are grown about once per process.
 
     By the k-bounded Pieri rule the strip of a residue set fills each
     maximal run r, r+1, ... of consecutive residues mod n in increasing

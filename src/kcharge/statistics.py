@@ -116,15 +116,37 @@ class SequenceReport(
 
 
 @lru_cache(maxsize=4096)
-def _class_extremes(cells: frozenset[Cell]) -> tuple[Cell, Cell, int]:
-    """(lowest cell, highest cell, right-most bottom-row column or 0) of a
-    residue class with more than one cell, the facts `_steps` reads of it.
+def _class_facts(
+    cells: frozenset[Cell], n: int
+) -> tuple[Cell, Cell, int, bool, frozenset[int], range | None]:
+    """(lowest cell, highest cell, right-most bottom-row column or 0,
+    whether the cells occupy one residue mod n in distinct rows and columns,
+    their diagonals, and the range of diagonals n apart strictly between the
+    lowest and the highest cell's if the cells miss one of them, else None)
+    of a residue class with more than one cell, keyed by the class and n.
 
-    The classes of a sweep repeat: a cold `verify --max-k 5 --max-weight 7`
-    reads 52 distinct multi-cell classes among 1,188 entries, 6/9 reads 110
-    among 15,367 and 7/10 160 among 61,427, so the cache of the 4,096 most
-    recent classes reads each about once per process."""
-    return min(cells), max(cells), max([c for r, c in cells if r == 1], default=0)
+    `_steps` reads the first three facts, and the identity checker in
+    `sweeps` reads the entry verdict, the diagonals and the missed range.
+    The classes of a sweep repeat, so the cache of the 4,096 most recent
+    keys reads each about once per process."""
+    rows, cols = zip(*cells)
+    low, high = min(cells), max(cells)
+    one_class = (
+        len({(col - row) % n for row, col in cells}) == 1
+        and len(set(rows)) == len(rows)
+        and len(set(cols)) == len(cols)
+    )
+    diagonals = frozenset([col - row for row, col in cells])
+    lo, hi = sorted((high[1] - high[0], low[1] - low[0]))
+    between = range(lo + n, hi, n)
+    return (
+        low,
+        high,
+        max([c for r, c in cells if r == 1], default=0),
+        one_class,
+        diagonals,
+        None if diagonals.issuperset(between) else between,
+    )
 
 
 def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
@@ -141,10 +163,11 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
     lowest and highest cells and residue, and the running L, M, I and J.  A
     sequence with no entries gives ten empty columns.  A class with more
     than one cell gives its lowest cell, highest cell and right-most
-    bottom-row column from one lookup of `_class_extremes`, keyed by the
-    class.  A one-cell class (most classes) is read inline: its one cell
-    is both extremes, and unpacking it costs less than a lookup.  Every
-    line follows one definition:
+    bottom-row column from one lookup of `_class_facts`, keyed by the
+    class and n, the cache that the identity checker reads too.  A one-cell
+    class (most classes) is read inline: its one cell is both extremes, and
+    unpacking it costs less than a lookup.  Every line follows one
+    definition:
 
     * the restriction is never built.  Its lowest addable cell is (1, c+1)
       and its highest addable cell (r+1, 1), on diagonals c and -r;
@@ -182,7 +205,7 @@ def _steps(seq: StandardSequence, n: int) -> tuple[list[int | None], ...]:
             if low_row == 1 and low_col > bottom_col:
                 bottom_col = low_col
         else:
-            low, high, col = _class_extremes(cells)
+            low, high, col, _, _, _ = _class_facts(cells, n)
             low_row, low_col = low
             if col > bottom_col:
                 bottom_col = col

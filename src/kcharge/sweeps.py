@@ -22,7 +22,7 @@ from .ktableaux import (
     to_text,
     validate,
 )
-from .statistics import _charge, _classical_statistics, _steps
+from .statistics import _charge, _class_facts, _classical_statistics, _steps
 
 
 # One failed check: the identity's name, what failed, and the text of the
@@ -109,39 +109,11 @@ def _restriction_is_core(row_counts: tuple[int, ...], n: int) -> bool:
     bottom row first, is an n-core.  A row may count 0 (the tableau's rows
     above the restriction, or a row whose letters all exceed it); the shape
     is the non-zero counts.  The letter pass looks its verdicts up by the
-    raw counts, so the zeros are filtered only on a miss: `verify --max-k 5
-    --max-weight 7` reads 386 distinct keys, 6/9 reads 1,074 among 91,698
-    and 7/10 1,915, so the cache of the 4,096 most recent keys decides each
-    about once per process.  Counts that are no partition raise, on every
-    call, from `_hook_facts`."""
+    raw counts, so the zeros are filtered only on a miss.  The counts of a
+    sweep's restrictions repeat, so the cache of the 4,096 most recent keys
+    decides each about once per process.  Counts that are no partition
+    raise, on every call, from `_hook_facts`."""
     return _hook_facts(tuple(filter(None, row_counts)), n)[0] is None
-
-
-@lru_cache(maxsize=4096)
-def _class_verdicts(
-    cells: frozenset[Cell], n: int
-) -> tuple[bool, frozenset[int], range | None]:
-    """(whether the cells occupy one residue mod n in distinct rows and
-    columns, their diagonals, and the range of diagonals n apart strictly
-    between the lowest and the highest cell's if the cells miss one of
-    them, else None) for a cell set of more than one cell: the entry
-    verdict and the filling facts that `check_tableau_identities` reads of
-    a residue class.  The classes of a sweep repeat: 6/9 reads 110 distinct
-    multi-cell classes among 15,367 lookups, one per multi-cell entry of
-    its standard sequences (a standard tableau's are read by its letter
-    pass, the others' by the entry pass), so the cache of the 4,096 most
-    recent keys decides each about once per process."""
-    rows, cols = zip(*cells)
-    one_class = (
-        len({(col - row) % n for row, col in cells}) == 1
-        and len(set(rows)) == len(rows)
-        and len(set(cols)) == len(cols)
-    )
-    diagonals = frozenset([col - row for row, col in cells])
-    (low_row, low_col), (high_row, high_col) = min(cells), max(cells)
-    lo, hi = sorted((high_col - high_row, low_col - low_row))
-    between = range(lo + n, hi, n)
-    return one_class, diagonals, None if diagonals.issuperset(between) else between
 
 
 # An identity of the sweep: its name as FAIL output prints it, what it is
@@ -215,29 +187,29 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     sequence as `_walk` reads it: `statistics._steps` returns its ten
     columns, which give the four totals, and the loop checks that sequence's
     L and I entry by entry.  A standard tableau's one sequence leaves its
-    diagonal vectors to the letter pass.  The letter pass, over the
-    letters, keeps each row's count of the letters so far and looks up
-    whether that restriction is a core by the raw counts, zero rows
-    included (`_restriction_is_core`), so the shape is built only for a
-    failure's detail; it also gives each letter's cell count.  On a
-    standard tableau it is the one pass over the letters' classes: there a
-    letter's cells are its one class, its entry in the one standard
-    sequence, and the pass checks both diagonal rules and the entry, and
-    adds the class to the partition of the cells.  A class of more than
-    one cell gives its entry verdict (one residue, distinct rows and
-    columns), its diagonals and the residue diagonals it misses between
-    its extremes from one lookup of `_class_verdicts`, keyed by the class
-    and n; a one-cell class passes the entry check without one.  Only a
-    tableau that is not standard has an entry pass, over the entries of
-    its standard sequences, which gives the partition of the cells and
+    diagonal vectors to the letter pass.  The letter pass, over the letters,
+    keeps each row's count of the letters so far and looks up whether that
+    restriction is a core by the raw counts, zero rows included
+    (`_restriction_is_core`), so the shape is built only for a failure's
+    detail; it also gives each letter's cell count.  On a standard tableau
+    it is the one pass over the letters' classes: there a letter's cells are
+    its one class, its entry in the one standard sequence, and the pass
+    checks both diagonal rules and the entry, and adds the class to the
+    partition of the cells.  A class of more than one cell gives its entry
+    verdict (one residue, distinct rows and columns), its diagonals and the
+    residue diagonals it misses between its extremes from one lookup of
+    `statistics._class_facts`, keyed by the class and n, the cache that
+    `_steps` reads too; a one-cell class passes the entry check without one.
+    Only a tableau that is not standard has an entry pass, over the entries
+    of its standard sequences, which gives the partition of the cells and
     each multi-cell entry's verdict from the same lookup.  On a large-k
-    tableau the identity "large k degenerates to a classical tableau",
-    that each letter's cell count is its part of mu, gates the classical
-    one: when it holds, the rows' classical weight is mu, so the charge is
-    read by `statistics._charge`, which checks nothing, and the cocharge
-    is n(mu) minus it.  When it fails, the checked `classical_charge`
-    reads them, unless the cell counts are no partition and so have no
-    classical charge, which fails the classical identity too.
+    tableau the identity "large k degenerates to a classical tableau", that
+    each letter's cell count is its part of mu, gates the classical one:
+    when it holds, the rows' classical weight is mu, so the charge is read
+    by `statistics._charge`, which checks nothing, and the cocharge is n(mu)
+    minus it.  When it fails, the checked `classical_charge` reads them,
+    unless the cell counts are no partition and so have no classical charge,
+    which fails the classical identity too.
 
     The sign identities read `lp`, the formulation that is not manifestly
     non-negative.  That its totals are non-negative is the theorem; that
@@ -290,7 +262,7 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     # count of them.  On a standard tableau each letter spans one residue,
     # so its cells are its entry in the one standard sequence, whose class
     # gives its entry verdict, its diagonals and the filling verdict
-    # (`_class_verdicts`), and its share of the partition of the cells.
+    # (`_class_facts`), and its share of the partition of the cells.
     seen: set[Cell] = set()
     covered = entries = 0
     if standard:
@@ -306,7 +278,7 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     letters = range(1, m + 1)
     row_counts = [0] * len(tab.rows)
     is_core = _restriction_is_core
-    verdicts = _class_verdicts
+    class_facts = _class_facts
     for i in letters:
         cells = by_letter.get(i, ())
         for row, _ in cells:
@@ -327,7 +299,7 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
                 ((row, col),) = cells
                 met.add(col - row)
             else:
-                one_class, diagonals, missed = verdicts(letter_class, n)
+                _, _, _, one_class, diagonals, missed = class_facts(letter_class, n)
                 if not one_class:
                     found.append((ENTRY, f"letter {i} cells {sorted(letter_class)}"))
                 met |= diagonals
@@ -346,7 +318,7 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
                 seen |= cells
                 covered += len(cells)
                 # One cell has one residue, one row and one column.
-                if len(cells) > 1 and not verdicts(cells, n)[0]:
+                if len(cells) > 1 and not class_facts(cells, n)[3]:
                     found.append((ENTRY, f"letter {letter} cells {sorted(cells)}"))
     if not covered == len(seen) == lam.size():
         found.append((PARTITION, f"{covered} cells over sequences vs {lam.size()} in shape"))
@@ -395,16 +367,6 @@ def check_tableau_identities(tab: KTableau, facts=None) -> tuple[int, list[Sweep
     return checked, [SweepFailure(identity.name, detail, context) for identity, detail in found]
 
 
-def _starts_in_bottom_row(tab: KTableau) -> bool:
-    """Whether each residue class of letter 1, where a standard sequence
-    starts, has a bottom-row cell.  The step rule (`statistics._steps`)
-    raises on a sequence whose start has none; a k-tableau's letter 1
-    lies in the bottom row, so only a tableau that fails validation is
-    asked."""
-    ones = tab._residue_index().get(1, {})
-    return all(any(row == 1 for row, _ in cells) for cells in ones.values())
-
-
 def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
     k, weight = args
     # Popped one at a time, so each tableau and its indexes are freed once
@@ -423,9 +385,9 @@ def _statistics_task(args: tuple[int, tuple[int, ...]]) -> SweepReport:
             checked, failures = check_tableau_identities(tab, facts)
         else:
             failed.append(SweepFailure(VALIDATES.name, ok.problem or "", to_text(tab)))
-            if _sequence_fault(tab.weight, k) is not None or not _starts_in_bottom_row(tab):
-                # Its standard sequences are undefined, or one cannot be
-                # walked, so validation is the one identity checked on it.
+            if not validate(tab) or _sequence_fault(tab.weight, k) is not None:
+                # The identities are defined only on a k-tableau whose weight
+                # has standard sequences: validation is the one checked here.
                 continue
             checked, failures = check_tableau_identities(tab)
         identities += checked

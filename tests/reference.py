@@ -21,14 +21,20 @@ the definitions `_walk_literal` reads, `enumerate_cores` the cores that
 `_enumerate_oracle` fills (grown on the abacus by `abacus_step`, and
 checked against a brute-force `is_n_core` filter), and `enumerate_ssyt`
 the classical fillings that the Kostka-Foulkes tests count.
-`random_k_tableau` is no oracle: it draws the seeded tableaux that extend
-the checks beyond the exhaustive sweeps, grown with the library's weak
-strips.  None of these is part of the kcharge API.
+`kostka_foulkes_lusztig` computes those polynomials by Lusztig's
+t-analogue of Kostant's multiplicity formula, with no tableau and no
+charge, the oracle of `statistics.kostka_foulkes_table` and
+`charge_table` at large k.  `random_k_tableau` is no oracle: it draws
+the seeded tableaux that extend the checks beyond the exhaustive sweeps,
+grown with the library's weak strips.  None of these is part of the
+kcharge API.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import lru_cache
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from kcharge.cores import (
     Cell,
@@ -463,3 +469,68 @@ def enumerate_ssyt(
     if min(weight, default=0) < 0:
         raise ValueError(f"weight parts must be non-negative, got {weight}")
     return list(semistandard_fillings(shape, len(weight), weight))
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of `parts` non-negative integers with sum `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def kostant_t(beta: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Lusztig's t-analogue of Kostant's partition function of type
+    A_{n-1}, n = len(beta), as sorted (exponent, coefficient) pairs: the
+    coefficient of t^m counts the ways to write beta as a sum of m positive
+    roots e_i - e_j (i < j), repeats allowed, so it is the coefficient of
+    x^beta in the product over i < j of 1 / (1 - t x_i / x_j).  The roots
+    that start at the first coordinate are chosen first, as a composition
+    of beta_1 over the later coordinates, each of which it raises; the
+    rest is the same count on those coordinates."""
+    first, rest = beta[0], beta[1:]
+    if not rest:
+        return ((0, 1),) if first == 0 else ()
+    if first < 0:
+        return ()
+    counts: dict[int, int] = {}
+    for roots in _compositions(first, len(rest)):
+        for e, c in kostant_t(tuple(map(add, rest, roots))):
+            counts[first + e] = counts.get(first + e, 0) + c
+    return tuple(sorted(counts.items()))
+
+
+def kostka_foulkes_lusztig(lam: Sequence[int], mu: Sequence[int]) -> dict[int, int]:
+    """The Kostka-Foulkes polynomial K_{lam,mu}(t), exponent -> non-zero
+    coefficient, by Lusztig's t-analogue of Kostant's multiplicity formula:
+    the sum over w in S_n of sgn(w) P_t(w(lam + rho) - (mu + rho)), with
+    n = len(mu), P_t = `kostant_t` and rho = (n, n-1, ..., 1).  It reads no
+    tableau and no charge, so it checks the charge generating polynomials
+    independently.  P_t vanishes on a vector with a negative partial sum,
+    so each w(lam + rho) is built one coordinate at a time and dropped as
+    soon as a partial sum of the difference is negative."""
+    n = len(mu)
+    if len(lam) > n or sum(lam) != sum(mu):
+        return {}
+    shifted = tuple(part + n - i for i, part in enumerate([*lam] + [0] * (n - len(lam))))
+    target = [part + n - i for i, part in enumerate(mu)]
+    total: dict[int, int] = {}
+
+    def place(beta: tuple[int, ...], partial: int, remaining: tuple[int, ...], sign: int) -> None:
+        i = len(beta)
+        if i == n:
+            for e, c in kostant_t(beta):
+                total[e] = total.get(e, 0) + sign * c
+            return
+        for j, value in enumerate(remaining):
+            b = value - target[i]
+            if partial + b >= 0:
+                # Taking the j-th of the values left makes j inversions.
+                rest = remaining[:j] + remaining[j + 1 :]
+                place(beta + (b,), partial + b, rest, -sign if j % 2 else sign)
+
+    place((), 0, shifted, 1)
+    return {e: c for e, c in total.items() if c}

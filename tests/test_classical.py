@@ -7,6 +7,7 @@ from kcharge import statistics
 from kcharge.cores import Cell, Partition, n_stat, partitions, semistandard_fillings
 from kcharge.ktableaux import enumerate_k_tableaux, standard_sequences, to_text
 from kcharge.statistics import (
+    FORMULATIONS,
     TPolynomial,
     charge_table,
     classical_charge,
@@ -19,6 +20,7 @@ from reference import (
     classical_charge_literal,
     enumerate_ssyt,
     hook_length,
+    kostka_foulkes_lusztig,
 )
 
 
@@ -308,6 +310,27 @@ def test_kostka_numbers_match_enumeration():
 @pytest.mark.parametrize("mu", [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1, 1)])
 def test_large_k_degeneration_small(mu):
     assert charge_table(sum(mu), mu) == kostka_foulkes_table(mu)
+
+
+def test_tables_are_lusztigs_t_analogue_of_kostants_formula():
+    # Lusztig's formula reads no tableau and no charge.  Every (lam, mu)
+    # with |mu| <= 7 and len(lam) <= len(mu) is compared, in the classical
+    # table and in the k-table at k = |mu|, where every shape is large-k,
+    # in both formulations; no table has a longer shape.
+    assert kostka_foulkes_lusztig((2, 1), (1, 1, 1)) == {1: 1, 2: 1}
+    pairs = 0
+    for size in range(1, 8):
+        for mu in partitions(size):
+            tables = [kostka_foulkes_table(mu)]
+            tables += [charge_table(size, mu, formulation) for formulation in FORMULATIONS]
+            assert all(len(lam) <= len(mu) for table in tables for lam in table), mu
+            for lam in partitions(size):
+                if len(lam) <= len(mu):
+                    expected = TPolynomial(kostka_foulkes_lusztig(lam, mu))
+                    got = [table.get(lam, TPolynomial()) for table in tables]
+                    assert got == [expected] * len(tables), (lam, mu)
+                    pairs += 1
+    assert pairs == 262
 
 
 def _hook_formula(shape):

@@ -1045,16 +1045,24 @@ def test_validated_path_equals_the_one_argument_check():
         # Weight (1,1), but letter 1 lies above the bottom row, so its one
         # sequence has no lowest addable cell to walk from.
         (2, (1, 1), [[2], [1]], "column fails to increase bottom-to-top"),
+        # Weight (1,1,1), but its top row decreases, and its restriction to
+        # 2 has row counts (1, 2), which are no partition.
+        (2, (1, 1, 1), [[1, 3], [2, 1]], "shape (2,2) is not a 3-core"),
     ],
-    ids=["not-a-partition", "part-exceeds-k", "letter-1-off-the-bottom-row"],
+    ids=[
+        "not-a-partition",
+        "part-exceeds-k",
+        "letter-1-off-the-bottom-row",
+        "restriction-counts-no-partition",
+    ],
 )
 def test_task_checks_only_validation_on_a_tableau_without_sequences(
     monkeypatch, capsys, k, weight, rows, problem
 ):
-    # A tableau that fails validation with a weight that has no standard
-    # sequences, or with a sequence that cannot be walked, counts one
-    # identity, its failed validation, and the sweep goes on; `verify`
-    # reports it and exits 1.
+    # A tableau that fails validation and is no k-tableau of any weight, or
+    # whose own weight has no standard sequences, counts one identity, its
+    # failed validation, and the sweep goes on; `verify` reports it and
+    # exits 1.
     bad = KTableau(k, rows)
     original = sweeps.enumerate_k_tableaux
     clean = sweeps.run_statistics_sweep(k, sum(weight))
@@ -1077,10 +1085,23 @@ def test_task_checks_only_validation_on_a_tableau_without_sequences(
 
 def test_large_k_check_names_cell_counts_that_are_no_partition(monkeypatch, capsys):
     # Residue weight (1,1,1) but cell counts (1,2,1), at large k: the
-    # large-k identity fails, and the classical one fails naming the
-    # counts, which have no classical charge, where the checker used to
-    # raise.  The sweep goes on and `verify` exits 1.
+    # one-argument check fails the large-k identity, and the classical one
+    # naming the counts, which have no classical charge.  Its first row
+    # decreases, so it is no k-tableau: the sweep records its failed
+    # validation alone, goes on, and `verify` exits 1.
     bad = KTableau(4, [[2, 1], [3, 2]])
+    expected = [
+        (sweeps.COCHARGE_AGREE, "lp=1 morse=3"),
+        (sweeps.LETTER_1, "letter-1 cells [Cell(row=1, col=2)]"),
+        (sweeps.MEETING, "letter 2: 2 != 1"),
+        (sweeps.LARGE_K, "cell counts (1, 2, 1) vs weight (1, 1, 1)"),
+        (sweeps.CLASSICAL, "cell counts (1, 2, 1) are not a partition"),
+    ]
+    checked, failures = sweeps.check_tableau_identities(bad)
+    assert (checked, [(f.identity, f.detail) for f in failures]) == (
+        23,
+        [(identity.name, detail) for identity, detail in expected],
+    )
     original = sweeps.enumerate_k_tableaux
     clean = sweeps.run_statistics_sweep(4, 3)
     assert clean.ok
@@ -1091,25 +1112,15 @@ def test_large_k_check_names_cell_counts_that_are_no_partition(monkeypatch, caps
 
     monkeypatch.setattr(sweeps, "enumerate_k_tableaux", with_bad)
     report = sweeps.run_statistics_sweep(4, 3)
-    context = ktableaux.to_text(bad)
-    expected = [
-        (sweeps.VALIDATES, "row decreases left-to-right"),
-        (sweeps.COCHARGE_AGREE, "lp=1 morse=3"),
-        (sweeps.LETTER_1, "letter-1 cells [Cell(row=1, col=2)]"),
-        (sweeps.MEETING, "letter 2: 2 != 1"),
-        (sweeps.LARGE_K, "cell counts (1, 2, 1) vs weight (1, 1, 1)"),
-        (sweeps.CLASSICAL, "cell counts (1, 2, 1) are not a partition"),
-    ]
-    failures = [sweeps.SweepFailure(identity.name, d, context) for identity, d in expected]
-    # Its validation and the 23 identities checked on it by its own weight.
+    problem = "row decreases left-to-right"
+    failure = sweeps.SweepFailure(sweeps.VALIDATES.name, problem, ktableaux.to_text(bad))
     assert report == sweeps.SweepReport(
-        clean.subjects_checked + 1, clean.identities_checked + 1 + 23, failures
+        clean.subjects_checked + 1, clean.identities_checked + 1, [failure]
     )
     monkeypatch.delenv("KCHARGE_THREADS", raising=False)
     assert cli.main(["verify", "--max-k", "4", "--max-weight", "3"]) == 1
     out = capsys.readouterr().out
-    identity, detail = expected[-1]
-    assert f"counterexample [{identity.name}] {detail}" in out
+    assert f"counterexample [{sweeps.VALIDATES.name}] {problem}" in out
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, "2"])
@@ -1455,8 +1466,7 @@ def test_cache_state_does_not_change_the_checker():
     assert {
         "_hook_facts",
         "_restriction_is_core",
-        "_class_verdicts",
-        "_class_extremes",
+        "_class_facts",
         "_kept_reading_layout",
         "_cell_row",
     } <= cleared
@@ -1476,14 +1486,14 @@ def test_class_facts_match_a_direct_computation_at_5_7():
             for seq in standard_sequences(tab):
                 classes.update((e.cells, k + 1) for e in seq.entries if len(e.cells) > 1)
     assert len({cells for cells, _ in classes}) == 52
-    statistics._class_extremes.cache_clear()
-    sweeps._class_verdicts.cache_clear()
+    statistics._class_facts.cache_clear()
     for _ in range(2):
         for cells, n in classes:
             seq = StandardSequence((ktableaux.SequenceEntry(1, 0, cells),))
             low, high = lowest_occurrence(seq, 1), highest_occurrence(seq, 1)
             bottom = lowest_addable(cells).col - 1 if any(c.row == 1 for c in cells) else 0
-            assert statistics._class_extremes(cells) == (low, high, bottom)
+            facts = statistics._class_facts(cells, n)
+            assert facts[:3] == (low, high, bottom)
             one_class = (
                 len({residue(c, n) for c in cells}) == 1
                 and len({c.row for c in cells}) == len(cells)
@@ -1493,7 +1503,7 @@ def test_class_facts_match_a_direct_computation_at_5_7():
             lo, hi = sorted((diagonal(low), diagonal(high)))
             between = [d for d in range(lo + 1, hi) if (d - lo) % n == 0]
             missed = between if not diagonals.issuperset(between) else None
-            ok, got_diagonals, got_missed = sweeps._class_verdicts(cells, n)
+            ok, got_diagonals, got_missed = facts[3:]
             assert (ok, got_diagonals) == (one_class, diagonals)
             assert (None if got_missed is None else list(got_missed)) == missed
 
@@ -1503,14 +1513,14 @@ def test_class_verdicts_read_the_modulus():
     # residue diagonals at n = 2 and n = 3, and none at n = 6.  Another on
     # diagonals 0 and 3 is one residue class at n = 3 but not at n = 2.  A
     # verdict kept by the cells alone would repeat its first answer.
-    sweeps._class_verdicts.cache_clear()
+    statistics._class_facts.cache_clear()
     wide = frozenset({Cell(1, 1), Cell(2, 8)})
     assert [
         (ok, sorted(diagonals), None if missed is None else list(missed))
-        for ok, diagonals, missed in (sweeps._class_verdicts(wide, n) for n in (2, 3, 6))
+        for ok, diagonals, missed in (statistics._class_facts(wide, n)[3:] for n in (2, 3, 6))
     ] == [(True, [0, 6], [2, 4]), (True, [0, 6], [3]), (True, [0, 6], None)]
     narrow = frozenset({Cell(1, 1), Cell(2, 5)})
-    assert [sweeps._class_verdicts(narrow, n)[0] for n in (3, 2, 3)] == [True, False, True]
+    assert [statistics._class_facts(narrow, n)[3] for n in (3, 2, 3)] == [True, False, True]
 
 
 def test_parallel_sweep_is_the_serial_report_on_a_failing_range(monkeypatch):
